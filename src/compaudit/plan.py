@@ -1,6 +1,7 @@
 """Declarative experiment plans.
 
-A plan is a UTF-8 INI file (``key = value`` inside named sections)
+A plan is a UTF-8 INI file (``key = value`` inside named sections; ``;``
+starts a comment, also after a value or header when whitespace precedes it)
 describing one audit end to end: the dataset, the split sizes, training
 hyperparameters, an optional DP-SGD defense, the compression matrix, the
 attack selection, the metric caps, and the repetition/seeding scheme.
@@ -202,7 +203,7 @@ def _strs(text: str) -> list[str]:
 
 
 def parse_plan_text(text: str) -> ExperimentPlan:
-    cp = configparser.ConfigParser(inline_comment_prefixes=None, interpolation=None)
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from compaudit import compress
 from compaudit import constraints as cons
 from compaudit import nn
 from compaudit.errors import InputError, ShapeError, TrainingError
@@ -246,6 +247,74 @@ class TestDpSgd:
         a = nn.train_dpsgd(model, (X, y), cfg, nn.DpConfig(clip_norm=1.0, noise_multiplier=0.5))
         b = nn.train_dpsgd(model, (X, y), cfg, nn.DpConfig(clip_norm=1.0, noise_multiplier=0.2))
         assert any(not np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
+
+
+def constrained(kind, model):
+    """(model, constraint) pair for each constraint kind a DP step must honor."""
+    if kind is None:
+        return model, None
+    if kind == cons.PRUNE:
+        cm = compress.prune_l1(model, 0.5)
+        return cm.model, cm.constraint
+    if kind == cons.CLUSTER:
+        cm = compress.cluster_weights(model, 4, seed=1)
+        return cm.model, cm.constraint
+    scales = [cons.quant_scale(w) for w in model.weights]
+    return model, cons.CompressionConstraint(kind=cons.QUANT, quant_scales=scales)
+
+
+class TestDpStepOracle:
+    """One full-batch DP-SGD step against materialized per-sample gradients."""
+
+    @pytest.mark.parametrize("kind", [None, cons.PRUNE, cons.QUANT, cons.CLUSTER])
+    def test_ghost_norm_step_matches_per_sample_oracle(self, kind):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(24, 5))
+        y = rng.integers(0, 3, 24)
+        model, constraint = constrained(kind, tiny_model([5, 7, 6, 3], seed=4, dropout=[0.0, 0.0]))
+        seed, lr, l2 = 31, 0.05, 1e-3
+        cfg = nn.TrainConfig(learning_rate=lr, batch_size=24, max_epochs=1, l2_lambda=l2, seed=seed)
+
+        state = nn._TrainState(model, constraint)
+        eff = state.effective_weights()
+        eff_model = nn.FcnModel(model.layer_sizes, eff, state.biases, model.dropout_rates)
+        pWs, pbs, norms = nn.per_sample_gradients(eff_model, X, y)
+        clip = float(np.median(norms))
+        dp = nn.DpConfig(clip_norm=clip, noise_multiplier=0.7)
+        factors = np.minimum(1.0, clip / norms)
+        assert np.any(factors < 1.0) and np.any(factors == 1.0)
+
+        hs, zs, masks, logits = nn._forward_pass(eff, state.biases, model.dropout_rates, X, None)
+        deltas = nn._layer_deltas(eff, zs, masks, nn.softmax(logits) - nn.one_hot(y, 3))
+        assert np.allclose(nn._ghost_norms(deltas, hs), norms, rtol=1e-12, atol=0.0)
+
+        rng_noise = np.random.default_rng(np.random.SeedSequence([seed, 0x6E01]))
+        std = dp.noise_multiplier * clip / X.shape[0]
+        dWs, dbs = [], []
+        for pW, pb, w in zip(pWs, pbs, eff):
+            dW = np.einsum("b,boi->oi", factors, pW) / X.shape[0]
+            db = factors @ pb / X.shape[0]
+            dWs.append(dW + std * rng_noise.standard_normal(dW.shape) + l2 * w)
+            dbs.append(db + std * rng_noise.standard_normal(db.shape))
+        state.apply_update(dWs, dbs, lr, 0.0)
+        expected = state.snapshot(model)
+
+        got = nn.train_dpsgd(model, (X, y), cfg, dp, constraint)
+        for g, e in zip(got.weights + got.biases, expected.weights + expected.biases):
+            assert np.allclose(g, e, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda m, xy, cfg: nn.train(m, xy, None, cfg),
+    lambda m, xy, cfg: nn.train_dpsgd(m, xy, cfg, nn.DpConfig(clip_norm=1.0, noise_multiplier=0.5)),
+], ids=["sgd", "dpsgd"])
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_labels_checked_before_any_step(fit, bad):
+    X, y = separable_set(n=8)
+    y[3] = bad
+    cfg = nn.TrainConfig(learning_rate=0.1, batch_size=4, max_epochs=0, seed=0)
+    with pytest.raises(InputError, match="training labels out of range"):
+        fit(tiny_model([4, 5, 2]), (X, y), cfg)
 
 
 class TestOneHot:

@@ -1,5 +1,8 @@
 """Plan parsing and validation tests."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from compaudit.errors import PlanError
@@ -120,3 +123,12 @@ max_epochs = 5
         assert plan.dp["noise_multiplier"] == 0.5
         with pytest.raises(PlanError):
             parse_plan_text(GOOD + "\n[dp]\nclip_norm = -1\nnoise_multiplier = 0.5\n")
+
+
+def test_readme_example_plan_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    plan = parse_plan_text(blocks[0])
+    assert plan.dataset.kind == "synth"
+    assert plan.dp["noise_multiplier"] == 0.5
