@@ -47,7 +47,7 @@ from .data import (
     make_split,
     synth_generate,
 )
-from .meta import MetaRecord, fit, predict, score_proba
+from .meta import fit, predict, score_proba
 from .metrics import (
     AttackScoreSet,
     RocCurve,

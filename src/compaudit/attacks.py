@@ -116,76 +116,59 @@ def threshold_balanced_accuracy(member_values, nonmember_values, tau: float) -> 
     return 0.5 * (float(np.mean(mv < tau)) + float(np.mean(nv >= tau)))
 
 
-def build_nr_metadata(
-    posterior: np.ndarray, label: int | None, with_label: bool, class_count: int | None = None
-) -> np.ndarray:
+def build_nr_metadata(posterior: np.ndarray, label: int | None, with_label: bool) -> np.ndarray:
     """Descending-sorted posterior, optionally followed by the one-hot label."""
-    p = np.asarray(posterior, dtype=float)
-    if p.ndim != 1:
-        raise ShapeError("posterior must be a vector")
-    out = np.sort(p)[::-1]
-    if with_label:
-        if label is None:
-            raise InputError("label required when with_label is set")
-        C = class_count if class_count is not None else p.shape[0]
-        out = np.concatenate([out, nn.one_hot(int(label), C)])
-    return out
+    labels = None if label is None else [label]
+    return build_nr_metadata_batch(np.asarray(posterior)[None], labels, with_label)[0]
 
 
 def build_nr_metadata_batch(posteriors, labels, with_label: bool) -> np.ndarray:
+    """``build_nr_metadata`` for every row of a posterior matrix."""
     P = np.asarray(posteriors, dtype=float)
+    if P.ndim != 2:
+        raise ShapeError("posteriors must be an (n, C) matrix, or one vector of C")
     out = -np.sort(-P, axis=1)
     if with_label:
+        if labels is None:
+            raise InputError("labels required when with_label is set")
         out = np.concatenate([out, nn.one_hot(np.asarray(labels), P.shape[1])], axis=1)
     return out
 
 
 def build_sr_metadata(
-    p_o: np.ndarray,
-    p_c: np.ndarray,
-    label: int | None,
-    method: SrConstruction,
-    class_count: int | None = None,
+    p_o: np.ndarray, p_c: np.ndarray, label: int | None, method: SrConstruction
 ) -> np.ndarray:
-    """Paired-posterior feature vector for one sample.
-
-    Sorted constructions order the original posterior descending and apply
-    the same permutation to the compressed posterior, so matched classes
-    stay aligned across the two halves.
-    """
-    p_o = np.asarray(p_o, dtype=float)
-    p_c = np.asarray(p_c, dtype=float)
-    if p_o.shape != p_c.shape or p_o.ndim != 1:
-        raise ShapeError("paired posteriors must be equal-length vectors")
-    C = class_count if class_count is not None else p_o.shape[0]
-    needs_label = method is not SrConstruction.SORTED_CONCAT
-    if needs_label and label is None:
-        raise InputError(f"{method.value} requires the ground-truth label")
-    if method in (SrConstruction.SORTED_CONCAT, SrConstruction.SORTED_CONCAT_LABEL):
-        pi = np.argsort(-p_o, kind="stable")
-        parts = [p_o[pi], p_c[pi]]
-        if method is SrConstruction.SORTED_CONCAT_LABEL:
-            parts.append(nn.one_hot(int(label), C))
-        return np.concatenate(parts)
-    if method is SrConstruction.DIRECT_CONCAT_LABEL:
-        return np.concatenate([p_o, p_c, nn.one_hot(int(label), C)])
-    dist = float(np.linalg.norm(p_o - p_c))
-    return np.concatenate([[dist], nn.one_hot(int(label), C)])
+    """Paired-posterior feature vector for one sample (see the batch builder)."""
+    labels = None if label is None else [label]
+    return build_sr_metadata_batch(np.asarray(p_o)[None], np.asarray(p_c)[None], labels, method)[0]
 
 
 def build_sr_metadata_batch(P_o, P_c, labels, method: SrConstruction) -> np.ndarray:
+    """Paired-posterior feature rows, one per row of P_o and P_c.
+
+    Sorted constructions order each original posterior descending and
+    apply the same permutation to the compressed posterior, so matched
+    classes stay aligned across the two halves. The L2 distance is taken
+    row by row, because a row's norm and a norm over axis 1 can differ in
+    the last bit.
+    """
     P_o = np.asarray(P_o, dtype=float)
     P_c = np.asarray(P_c, dtype=float)
-    if P_o.shape != P_c.shape:
-        raise ShapeError("paired posterior batches must have equal shape")
-    labels = None if labels is None else np.asarray(labels, dtype=np.int64)
-    rows = [
-        build_sr_metadata(
-            P_o[i], P_c[i], None if labels is None else int(labels[i]), method, P_o.shape[1]
-        )
-        for i in range(P_o.shape[0])
-    ]
-    return np.stack(rows)
+    if P_o.shape != P_c.shape or P_o.ndim != 2:
+        raise ShapeError("paired posteriors must have equal (n, C) or (C,) shapes")
+    needs_label = method is not SrConstruction.SORTED_CONCAT
+    if needs_label and labels is None:
+        raise InputError(f"{method.value} requires the ground-truth label")
+    if method in (SrConstruction.SORTED_CONCAT, SrConstruction.SORTED_CONCAT_LABEL):
+        pi = np.argsort(-P_o, axis=1, kind="stable")
+        parts = [np.take_along_axis(P_o, pi, axis=1), np.take_along_axis(P_c, pi, axis=1)]
+    elif method is SrConstruction.DIRECT_CONCAT_LABEL:
+        parts = [P_o, P_c]
+    else:
+        parts = [np.array([np.linalg.norm(o - c) for o, c in zip(P_o, P_c)])[:, None]]
+    if needs_label:
+        parts.append(nn.one_hot(np.asarray(labels, dtype=np.int64), P_o.shape[1]))
+    return np.concatenate(parts, axis=1)
 
 
 def shuffled_score_set(scores: AttackScoreSet, seed: int = 0) -> AttackScoreSet:
@@ -199,12 +182,12 @@ def shuffled_score_set(scores: AttackScoreSet, seed: int = 0) -> AttackScoreSet:
     )
 
 
-def export_metadata_csv(records, path):
-    """Dump meta-records as CSV, one row per record, label last."""
+def export_metadata_csv(X: np.ndarray, y: np.ndarray, path):
+    """Dump meta-data as CSV, one row per sample, membership label last."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        for r in records:
-            writer.writerow([repr(float(v)) for v in r.features] + [int(r.membership)])
+        for row, label in zip(np.asarray(X, dtype=float), y):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +232,11 @@ def run_nr_metric(
     return tau, AttackScoreSet(member, nonmember, decision_threshold=threshold)
 
 
-def _meta_records(features: np.ndarray, membership: int) -> list[meta.MetaRecord]:
-    return [meta.MetaRecord(features[i], membership) for i in range(features.shape[0])]
+def _meta_records(member: np.ndarray, nonmember: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stack member and non-member feature rows into (X, y), members first."""
+    X = np.concatenate([member, nonmember])
+    y = np.concatenate([np.ones(len(member), np.int64), np.zeros(len(nonmember), np.int64)])
+    return X, y
 
 
 def run_nr_training(
@@ -273,10 +259,10 @@ def run_nr_training(
         X, y = dataset.xy(idx)
         return build_nr_metadata_batch(_posteriors(model, X), y, with_label)
 
-    records = _meta_records(features(shadow_model, splits.shadow_train), 1) + _meta_records(
-        features(shadow_model, splits.shadow_test), 0
+    X, y = _meta_records(
+        features(shadow_model, splits.shadow_train), features(shadow_model, splits.shadow_test)
     )
-    clf = meta.fit(clf_kind, records, hyper=hyper, seed=seed)
+    clf = meta.fit(clf_kind, X, y, hyper=hyper, seed=seed)
     member = meta.score_proba(clf, features(victim_model, splits.victim_train))
     nonmember = meta.score_proba(clf, features(victim_model, splits.victim_test))
     return clf, AttackScoreSet(member, nonmember)
@@ -284,10 +270,8 @@ def run_nr_training(
 
 def _sr_features(original, compressed, dataset, idx, construction):
     X, y = dataset.xy(idx)
-    P_o = _posteriors(original, X)
-    P_c = _posteriors(compressed, X)
-    labels = None if construction is SrConstruction.SORTED_CONCAT else y
-    return build_sr_metadata_batch(P_o, P_c, labels, construction)
+    P_o, P_c = _posteriors(original, X), _posteriors(compressed, X)
+    return build_sr_metadata_batch(P_o, P_c, y, construction)
 
 
 def fit_sr_classifier(
@@ -309,12 +293,11 @@ def fit_sr_classifier(
     """
     member_rows = splits.shadow_train if member_rows is None else member_rows
     nonmember_rows = splits.shadow_test if nonmember_rows is None else nonmember_rows
-    records = _meta_records(
-        _sr_features(shadow_original, shadow_compressed, dataset, member_rows, construction), 1
-    ) + _meta_records(
-        _sr_features(shadow_original, shadow_compressed, dataset, nonmember_rows, construction), 0
+    X, y = _meta_records(
+        _sr_features(shadow_original, shadow_compressed, dataset, member_rows, construction),
+        _sr_features(shadow_original, shadow_compressed, dataset, nonmember_rows, construction),
     )
-    return meta.fit(clf_kind, records, hyper=hyper, seed=seed)
+    return meta.fit(clf_kind, X, y, hyper=hyper, seed=seed)
 
 
 def run_sr(
@@ -446,28 +429,16 @@ def mr_posterior_concat(X: np.ndarray, labels: np.ndarray, mr_input: MrInput) ->
         blocks = [_posteriors(m, X) for m in mr_input.compressed_models]
         pi = np.argsort(-blocks[0], axis=1, kind="stable")
         return np.concatenate([np.take_along_axis(B, pi, axis=1) for B in blocks], axis=1)
+    P_o = _posteriors(mr_input.original_model, X)
     blocks = []
     for cm, clf in zip(mr_input.compressed_models, mr_input.sr_classifiers):
-        feats = _sr_features(
-            mr_input.original_model, cm, _ArrayView(X, labels), slice(None), mr_input.sr_construction
-        )
+        feats = build_sr_metadata_batch(P_o, _posteriors(cm, X), labels, mr_input.sr_construction)
         blocks.append(_proba_pair(np.asarray(meta.score_proba(clf, feats), dtype=float)))
     return np.concatenate(blocks, axis=1)
 
 
 def _proba_pair(p: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - p, p], axis=1)
-
-
-class _ArrayView:
-    """Adapter so feature builders can run on raw arrays, not just datasets."""
-
-    def __init__(self, X, y):
-        self._X = np.asarray(X, dtype=float)
-        self._y = np.asarray(y, dtype=np.int64)
-
-    def xy(self, idx):
-        return self._X[idx], self._y[idx]
 
 
 def run_mr(
@@ -550,11 +521,12 @@ def run_mr(
         victim_input = MrInput(ADV2, victim_compressed)
 
     shadow_feats = np.concatenate([shadow_post, shadow_loss], axis=1)
-    records = _meta_records(shadow_feats[: splits.shadow_train.size], 1)
-    records += _meta_records(shadow_feats[splits.shadow_train.size :], 0)
+    F, y = _meta_records(
+        shadow_feats[: splits.shadow_train.size], shadow_feats[splits.shadow_train.size :]
+    )
     n_stackers = MR_STACKERS[adversary]
     stacker_seeds = seeds[-1].spawn(n_stackers) if n_stackers > 1 else [seeds[-1]]
-    stackers = [meta.fit("mlp", records, hyper=mlp_hyper, seed=_seq_int(s)) for s in stacker_seeds]
+    stackers = [meta.fit("mlp", F, y, hyper=mlp_hyper, seed=_seq_int(s)) for s in stacker_seeds]
 
     def victim_scores(idx):
         X, y = dataset.xy(idx)

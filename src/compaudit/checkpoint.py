@@ -15,11 +15,17 @@ Model layout (version 1)::
      "family": null | str, "degree_tag": null | float}
 
 Classifier layout: {"format": ..., "version": 1, "kind": "lr"|"rf"|"mlp",
-parameter fields}; forest trees are nested {"prob"} leaves and
-{"feature", "threshold", "left", "right"} splits.
+parameter fields}. A forest stores "n_features", "bootstrap" and "trees",
+one object per tree holding the five flat node arrays of ``meta.Tree``::
+
+    {"feature": [...], "threshold": [...], "left": [...], "right": [...],
+     "value": [...]}
+
+Every file is written atomically by ``write_json``.
 """
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -27,26 +33,44 @@ import numpy as np
 from .compress import CompressedModel
 from .constraints import CLUSTER, PRUNE, QUANT, CompressionConstraint
 from .errors import CheckpointError
-from .meta import LogisticMeta, MlpMeta, RandomForestMeta, _TreeNode
+from .meta import LogisticMeta, MlpMeta, RandomForestMeta, Tree
 from .nn import FcnModel
 
 FORMAT = "compaudit-checkpoint"
 VERSION = 1
 
 
-def _dump(payload: dict, path):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+def write_json(payload, path):
+    """Write ``payload`` as sorted-key compact JSON, replacing ``path`` atomically.
+
+    The bytes go to ``<name>.tmp``, which no ``*.json`` glob matches, and
+    replace the target only when complete, so an interrupted write never
+    leaves a truncated file under the final name.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_json(path):
+    """Parse a JSON file; malformed content raises CheckpointError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"{path}: malformed JSON ({exc})") from None
 
 
 def _load(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: malformed checkpoint ({exc})") from None
-    if payload.get("format") != FORMAT:
+    payload = read_json(path)
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise CheckpointError(f"{path}: not a checkpoint file")
     if payload.get("version") != VERSION:
         raise CheckpointError(f"{path}: unsupported version {payload.get('version')}")
@@ -92,7 +116,7 @@ def save_model(path, model: FcnModel | CompressedModel):
     if isinstance(model, CompressedModel):
         constraint, family, degree = model.constraint, model.family, model.degree_tag
         model = model.model
-    _dump(
+    write_json(
         {
             "format": FORMAT,
             "version": VERSION,
@@ -126,27 +150,31 @@ def load_model(path) -> FcnModel | CompressedModel:
     return CompressedModel(model, constraint, d["family"], float(d["degree_tag"]))
 
 
-def _tree_to_dict(node: _TreeNode):
-    if node.is_leaf():
-        return {"prob": node.prob}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
+_TREE_DTYPES = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
+                "value": float}
 
 
-def _tree_from_dict(d) -> _TreeNode:
-    if "prob" in d:
-        return _TreeNode(prob=float(d["prob"]))
-    return _TreeNode(
-        prob=None,
-        feature=int(d["feature"]),
-        threshold=float(d["threshold"]),
-        left=_tree_from_dict(d["left"]),
-        right=_tree_from_dict(d["right"]),
-    )
+def _tree(d: dict, n_features: int) -> Tree:
+    """A forest tree from its checkpoint arrays; inconsistent arrays raise ValueError.
+
+    Children must come after their parent, as in preorder, so a walk from
+    the root always ends at a leaf.
+    """
+    tree = Tree(**{k: np.asarray(d[k], dtype=dt) for k, dt in _TREE_DTYPES.items()})
+    n = tree.value.shape[0]
+    if n == 0 or any(a.shape != (n,) for a in tree):
+        raise ValueError("tree arrays differ in length")
+    inner = tree.left >= 0
+    after = np.arange(n)[inner]
+    if not (
+        np.array_equal(inner, tree.right >= 0)
+        and np.all((tree.left[inner] > after) & (tree.right[inner] > after))
+        and np.all((tree.left < n) & (tree.right < n))
+        and np.all((tree.feature[inner] >= 0) & (tree.feature[inner] < n_features))
+        and np.all((tree.value >= 0.0) & (tree.value <= 1.0))
+    ):
+        raise ValueError("inconsistent tree arrays")
+    return tree
 
 
 def save_classifier(path, clf):
@@ -167,31 +195,34 @@ def save_classifier(path, clf):
         base |= {
             "n_features": clf.n_features,
             "bootstrap": clf.bootstrap,
-            "trees": [_tree_to_dict(t) for t in clf.trees],
+            "trees": [{k: a.tolist() for k, a in t._asdict().items()} for t in clf.trees],
         }
     else:
         raise CheckpointError(f"cannot serialize classifier of type {type(clf).__name__}")
-    _dump(base, path)
+    write_json(base, path)
 
 
 def load_classifier(path):
+    """Read a meta-classifier checkpoint; a missing or malformed field raises CheckpointError."""
     d = _load(path)
     kind = d.get("kind")
-    if kind == "lr":
-        return LogisticMeta(np.asarray(d["weights"], dtype=float), d["bias"], d["seed"])
-    if kind == "mlp":
-        return MlpMeta(
-            np.asarray(d["W1"], dtype=float),
-            np.asarray(d["b1"], dtype=float),
-            np.asarray(d["w2"], dtype=float),
-            d["b2"],
-            d["seed"],
-            mean=np.asarray(d["mean"], dtype=float),
-            std=np.asarray(d["std"], dtype=float),
-        )
-    if kind == "rf":
-        trees = [_tree_from_dict(t) for t in d["trees"]]
-        return RandomForestMeta(
-            trees, int(d["n_features"]), d["seed"], bootstrap=bool(d.get("bootstrap", True))
-        )
+    try:
+        if kind == "lr":
+            return LogisticMeta(np.asarray(d["weights"], dtype=float), d["bias"], d["seed"])
+        if kind == "mlp":
+            return MlpMeta(
+                np.asarray(d["W1"], dtype=float),
+                np.asarray(d["b1"], dtype=float),
+                np.asarray(d["w2"], dtype=float),
+                d["b2"],
+                d["seed"],
+                mean=np.asarray(d["mean"], dtype=float),
+                std=np.asarray(d["std"], dtype=float),
+            )
+        if kind == "rf":
+            n_features = int(d["n_features"])
+            trees = [_tree(t, n_features) for t in d["trees"]]
+            return RandomForestMeta(trees, n_features, d["seed"], bool(d.get("bootstrap", True)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed {kind} classifier ({exc!r})") from None
     raise CheckpointError(f"{path}: unknown classifier kind {kind!r}")

@@ -1,12 +1,14 @@
 """Binary meta-classifiers for membership attacks.
 
-Three interchangeable models, all seeded and deterministic:
+Three interchangeable models, all seeded and deterministic, fit on a
+feature matrix X (one row per sample) and membership labels y in {0, 1}:
 
 - "lr": logistic regression, full-batch gradient descent on binary
   cross-entropy;
 - "rf": random forest of CART trees with Gini splits, per-node feature
   subsampling of sqrt(d), bootstrap bagging, and leaf-fraction
-  probabilities averaged over trees;
+  probabilities averaged over trees; each tree is five flat node arrays
+  (``Tree``), as in scikit-learn's tree layout;
 - "mlp": one-hidden-layer perceptron (ReLU, sigmoid output) trained with
   full-batch gradient descent on binary cross-entropy.
 
@@ -14,41 +16,14 @@ Three interchangeable models, all seeded and deterministic:
 0.5 with ties resolved to member.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateDataError, InputError, ShapeError
 
 _SIG_CLIP = 1e-12
-
-
-@dataclass
-class MetaRecord:
-    """One attack-training row: a feature vector and a membership bit."""
-
-    features: np.ndarray
-    membership: int
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim != 1:
-            raise ShapeError("meta-record features must be a vector")
-        if not np.all(np.isfinite(self.features)):
-            raise InputError("meta-record features must be finite")
-        if self.membership not in (0, 1):
-            raise InputError("membership label must be 0 or 1")
-
-
-def records_to_arrays(records) -> tuple[np.ndarray, np.ndarray]:
-    if not records:
-        raise InputError("no meta-records supplied")
-    lengths = {r.features.shape[0] for r in records}
-    if len(lengths) != 1:
-        raise ShapeError(f"inconsistent feature lengths {sorted(lengths)}")
-    X = np.stack([r.features for r in records])
-    y = np.array([r.membership for r in records], dtype=np.int64)
-    return X, y
 
 
 def _sigmoid(z):
@@ -122,30 +97,32 @@ def _fit_lr(X, y, hyper: LrHyper, seed: int) -> LogisticMeta:
     return LogisticMeta(w, b, seed)
 
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "prob")
+class Tree(NamedTuple):
+    """One CART tree as flat node arrays; node 0 is the root.
 
-    def __init__(self, prob=None, feature=None, threshold=None, left=None, right=None):
-        self.prob = prob
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
+    Nodes are numbered in preorder. A leaf has ``left == right == -1``
+    (and ``feature == -1``); an inner node sends a row left when
+    ``x[feature] < threshold``. ``value`` is the member fraction of the
+    node's training rows.
+    """
 
-    def is_leaf(self):
-        return self.left is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
 
-def _gini_best_split(X, y, feature_ids, min_leaf):
-    """Best (gini, feature, threshold) over candidate features, or None.
+def _gini_best_split(cols, y, min_leaf):
+    """Best (candidate column, threshold) for a node's rows, or None.
 
-    Each candidate feature's samples are sorted and every midpoint between
-    distinct consecutive values is scored with the weighted Gini impurity,
-    vectorized over all candidates through cumulative positive counts.
-    Ties go to the earlier candidate feature, then to the lower midpoint.
+    ``cols`` holds the node's rows of the candidate features. Each column
+    is sorted and every midpoint between distinct consecutive values is
+    scored with the weighted Gini impurity, vectorized over all candidates
+    through cumulative positive counts. Ties go to the earlier candidate
+    column, then to the lower midpoint.
     """
     n = y.shape[0]
-    cols = X[:, feature_ids]
     order = np.argsort(cols, axis=0, kind="stable")
     xs = np.take_along_axis(cols, order, axis=0)
     lp = np.cumsum(y[order], axis=0)[:-1]
@@ -164,35 +141,61 @@ def _gini_best_split(X, y, feature_ids, min_leaf):
     if not np.isfinite(col_best[j]):
         return None
     i = rows[j]
-    return float(col_best[j]), int(feature_ids[j]), float((xs[i, j] + xs[i + 1, j]) / 2.0)
+    return j, float((xs[i, j] + xs[i + 1, j]) / 2.0)
 
 
-def _build_tree(X, y, rng, depth, hyper: RfHyper, n_sub):
-    node = _TreeNode(prob=float(y.mean()))
-    if depth >= hyper.max_depth or y.shape[0] < 2 * hyper.min_leaf:
-        return node
-    if y.min() == y.max():
-        return node
-    feature_ids = rng.permutation(X.shape[1])[:n_sub]
-    best = _gini_best_split(X, y, feature_ids, hyper.min_leaf)
-    if best is None:
-        return node
-    _, f, thr = best
-    mask = X[:, f] < thr
-    node.feature = f
-    node.threshold = thr
-    node.left = _build_tree(X[mask], y[mask], rng, depth + 1, hyper, n_sub)
-    node.right = _build_tree(X[~mask], y[~mask], rng, depth + 1, hyper, n_sub)
-    return node
+def _grow_tree(X, y, rows, rng, hyper: RfHyper, n_sub) -> Tree:
+    """Grow one tree on the rows ``rows`` of (X, y), depth-first, left first.
+
+    Nodes are visited in preorder from an explicit stack, so each node's
+    feature subset is drawn from ``rng`` in that order. A stack entry is
+    (row indices into X, depth, parent node, whether the node is the
+    parent's left child).
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+    stack = [(rows, 0, -1, True)]
+    while stack:
+        rows, depth, parent, is_left = stack.pop()
+        node = len(value)
+        if parent >= 0:
+            (left if is_left else right)[parent] = node
+        yr = y[rows]
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(yr.mean()))
+        if depth >= hyper.max_depth or rows.size < 2 * hyper.min_leaf or yr.min() == yr.max():
+            continue
+        feature_ids = rng.permutation(X.shape[1])[:n_sub]
+        best = _gini_best_split(X[np.ix_(rows, feature_ids)], yr, hyper.min_leaf)
+        if best is None:
+            continue
+        j, thr = best
+        f = int(feature_ids[j])
+        feature[node], threshold[node] = f, thr
+        mask = X[rows, f] < thr
+        stack.append((rows[~mask], depth + 1, node, False))
+        stack.append((rows[mask], depth + 1, node, True))
+    return Tree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=float),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(value, dtype=float),
+    )
 
 
-def _tree_proba(node, X, out, idx):
-    if node.is_leaf():
-        out[idx] = node.prob
-        return
-    mask = X[idx, node.feature] < node.threshold
-    _tree_proba(node.left, X, out, idx[mask])
-    _tree_proba(node.right, X, out, idx[~mask])
+def _leaf_values(tree: Tree, X) -> np.ndarray:
+    """Each row's leaf value: all rows move down one level per gather."""
+    rows = np.arange(X.shape[0])
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        inner = tree.left[node] >= 0
+        if not inner.any():
+            return tree.value[node]
+        go_left = X[rows, tree.feature[node]] < tree.threshold[node]
+        node = np.where(inner, np.where(go_left, tree.left[node], tree.right[node]), node)
 
 
 class RandomForestMeta:
@@ -200,7 +203,7 @@ class RandomForestMeta:
 
     kind = "rf"
 
-    def __init__(self, trees, n_features: int, seed: int = 0, bootstrap: bool = True):
+    def __init__(self, trees: list[Tree], n_features: int, seed: int = 0, bootstrap: bool = True):
         self.trees = trees
         self.n_features = n_features
         self.seed = seed
@@ -209,10 +212,8 @@ class RandomForestMeta:
     def score_proba(self, features: np.ndarray):
         X = _check_features(features, self.n_features)
         acc = np.zeros(X.shape[0])
-        buf = np.empty(X.shape[0])
         for tree in self.trees:
-            _tree_proba(tree, X, buf, np.arange(X.shape[0]))
-            acc += buf
+            acc += _leaf_values(tree, X)
         p = acc / len(self.trees)
         return float(p[0]) if X.shape[0] == 1 and np.asarray(features).ndim == 1 else p
 
@@ -231,7 +232,7 @@ def _fit_rf(X, y, hyper: RfHyper, seed: int) -> RandomForestMeta:
             idx = rng.integers(0, n, n)
         else:
             idx = np.arange(n)
-        trees.append(_build_tree(X[idx], y[idx], rng, 0, hyper, n_sub))
+        trees.append(_grow_tree(X, y, idx, rng, hyper, n_sub))
     return RandomForestMeta(trees, d, seed, bootstrap=hyper.bootstrap)
 
 
@@ -246,13 +247,12 @@ def out_of_bag_proba(clf: RandomForestMeta, X: np.ndarray) -> np.ndarray:
         raise InputError("out-of-bag scores need a bagged forest")
     X = _check_features(X, clf.n_features)
     n = X.shape[0]
-    total, count, buf = np.zeros(n), np.zeros(n), np.empty(n)
+    total, count = np.zeros(n), np.zeros(n)
     for tree, tree_seed in zip(clf.trees, _tree_seeds(clf.seed, len(clf.trees))):
         left_out = np.ones(n, dtype=bool)
         left_out[np.random.default_rng(tree_seed).integers(0, n, n)] = False
         rows = np.flatnonzero(left_out)
-        _tree_proba(tree, X, buf, rows)
-        total[rows] += buf[rows]
+        total[rows] += _leaf_values(tree, X[rows])
         count[rows] += 1
     if np.any(count == 0):
         raise DegenerateDataError("a training row is in every bootstrap sample")
@@ -346,22 +346,30 @@ _DEFAULT_HYPERS = {"lr": LrHyper, "rf": RfHyper, "mlp": MlpHyper}
 _FITTERS = {"lr": _fit_lr, "rf": _fit_rf, "mlp": _fit_mlp}
 
 
-def fit(kind: str, records, hyper=None, seed: int = 0):
-    """Train a meta-classifier of the given kind on labeled meta-records."""
+def fit(kind: str, X: np.ndarray, y: np.ndarray, hyper=None, seed: int = 0):
+    """Train a meta-classifier of the given kind on features X and labels y.
+
+    X is (n, d) with finite values; y holds n membership labels in {0, 1}
+    with both classes present.
+    """
     if kind not in _FITTERS:
         raise InputError(f"unknown meta-classifier kind {kind!r}")
-    X, y = records_to_arrays(records)
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.asarray(y)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ShapeError(f"features {X.shape} and labels {y.shape} are not (n, d) and (n,)")
+    if X.shape[0] == 0:
+        raise InputError("no meta rows supplied")
+    if not np.all(np.isfinite(X)):
+        raise InputError("meta features must be finite")
+    if not np.all((y == 0) | (y == 1)):
+        raise InputError("membership label must be 0 or 1")
+    y = y.astype(np.int64)
     if y.min() == y.max():
-        raise DegenerateDataError("meta-records contain a single class")
+        raise DegenerateDataError("meta rows contain a single class")
     if hyper is None:
         hyper = _DEFAULT_HYPERS[kind]()
     return _FITTERS[kind](X, y, hyper, int(seed) & 0xFFFFFFFFFFFFFFFF)
-
-
-def fit_arrays(kind: str, X: np.ndarray, y: np.ndarray, hyper=None, seed: int = 0):
-    """Array-based variant of ``fit`` for bulk callers."""
-    records = [MetaRecord(X[i], int(y[i])) for i in range(X.shape[0])]
-    return fit(kind, records, hyper=hyper, seed=seed)
 
 
 def score_proba(clf, features: np.ndarray):

@@ -21,7 +21,6 @@ run.
 
 import csv
 import hashlib
-import json
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -108,17 +107,6 @@ def derive_seed(seed_base: int, *parts) -> int:
     """Stable 64-bit seed from the base seed and a structured key."""
     text = ":".join([str(int(seed_base) & 0xFFFFFFFFFFFFFFFF)] + [str(p) for p in parts])
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
-
-
-def _json_dump(payload, path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-
-
-def _json_load(path: Path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def build_dataset(plan: ExperimentPlan) -> data.TabularDataset:
@@ -353,7 +341,7 @@ def _attack_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
         except CompauditError as exc:  # per-cell isolation
             failures.append({"rep": rep, "cell": cell, "error": str(exc)})
             continue
-        _json_dump(
+        checkpoint.write_json(
             {
                 "attack": attack_key,
                 "target": target_key,
@@ -375,9 +363,9 @@ def stage_attack(plan: ExperimentPlan, out: Path, workers: int = 1) -> list[dict
         existing = []
         fail_path = out / "failures.json"
         if fail_path.exists():
-            existing = _json_load(fail_path)
+            existing = checkpoint.read_json(fail_path)
         merged = {(f["rep"], f["cell"]): f for f in existing + failures}
-        _json_dump([merged[k] for k in sorted(merged)], fail_path)
+        checkpoint.write_json([merged[k] for k in sorted(merged)], fail_path)
     return failures
 
 
@@ -397,7 +385,7 @@ def _evaluate_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
         metric_path = out / "checkpoints" / "metrics" / f"rep{rep}" / score_path.name
         if metric_path.exists():
             continue
-        payload = _json_load(score_path)
+        payload = checkpoint.read_json(score_path)
         scores = metrics.AttackScoreSet(
             payload["member_scores"],
             payload["nonmember_scores"],
@@ -416,7 +404,7 @@ def _evaluate_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
         for cap in plan.fpr_caps:
             record["tpr_at_fpr"][repr(cap)] = metrics.tpr_at_fpr(scores, cap)
             record["small_sample"][repr(cap)] = metrics.small_sample_flag(scores, cap)
-        _json_dump(record, metric_path)
+        checkpoint.write_json(record, metric_path)
 
 
 def stage_evaluate(plan: ExperimentPlan, out: Path, workers: int = 1):
@@ -458,7 +446,7 @@ def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
             raise DependencyError(f"report needs the evaluate stage output {metric_dir}")
         if metric_dir.exists():
             for p in sorted(metric_dir.glob("*.json")):
-                cells.append(_json_load(p))
+                cells.append(checkpoint.read_json(p))
     aggregates = {}
     by_cell = {}
     for c in cells:
@@ -478,7 +466,7 @@ def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
     failures = []
     fail_path = out / "failures.json"
     if fail_path.exists():
-        failures = _json_load(fail_path)
+        failures = checkpoint.read_json(fail_path)
     models = {f"rep{rep}": _model_accuracies(plan, out, rep) for rep in range(plan.repetitions)}
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -492,7 +480,7 @@ def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
         "failures": failures,
     }
     report_dir = out / "report"
-    _json_dump(report, report_dir / "report.json")
+    checkpoint.write_json(report, report_dir / "report.json")
     _write_summary_csv(report, report_dir / "summary.csv")
     _write_text_report(report, report_dir / "report.txt")
     _export_rocs(plan, out, report_dir / "roc")
@@ -556,7 +544,7 @@ def _export_rocs(plan: ExperimentPlan, out: Path, roc_dir: Path):
         if not score_dir.exists():
             continue
         for score_path in sorted(score_dir.glob("*.json")):
-            payload = _json_load(score_path)
+            payload = checkpoint.read_json(score_path)
             scores = metrics.AttackScoreSet(
                 payload["member_scores"], payload["nonmember_scores"]
             )

@@ -161,6 +161,31 @@ class TestSrMetadata:
         assert np.array_equal(out[:7][inverse], p_o)
         assert np.array_equal(out[7:][inverse], p_c)
 
+    @pytest.mark.parametrize("method", list(SrConstruction))
+    @pytest.mark.parametrize("C", [2, 4, 30])
+    def test_batch_matches_per_row_reference(self, method, C):
+        rng = np.random.default_rng(C)
+        P_o = rng.dirichlet(np.ones(C), size=300)
+        P_c = rng.dirichlet(np.ones(C), size=300)
+        P_o[:5] = P_c[:5] = 1.0 / C  # all-tied rows keep their class order
+        P_o[5:10] = np.round(P_o[5:10], 1)
+        y = rng.integers(0, C, 300)
+
+        def reference(p_o, p_c, label):
+            onehot = np.eye(C)[label]
+            if method is SrConstruction.L2_DISTANCE_LABEL:
+                return np.concatenate([[np.linalg.norm(p_o - p_c)], onehot])
+            if method is SrConstruction.DIRECT_CONCAT_LABEL:
+                return np.concatenate([p_o, p_c, onehot])
+            pi = sorted(range(C), key=lambda k: (-p_o[k], k))
+            row = np.concatenate([p_o[pi], p_c[pi]])
+            return row if method is SrConstruction.SORTED_CONCAT else np.concatenate([row, onehot])
+
+        expect = np.stack([reference(P_o[i], P_c[i], y[i]) for i in range(300)])
+        got = attacks.build_sr_metadata_batch(P_o, P_c, y, method)
+        assert got.shape == (300, method.feature_length(C))
+        assert np.array_equal(got, expect)
+
     def test_direct_concat_unsorted(self):
         p_o = np.array([0.1, 0.7, 0.2])
         p_c = np.array([0.2, 0.5, 0.3])
@@ -239,12 +264,9 @@ class TestRunners:
 
 class TestMetadataExport:
     def test_csv_rows_put_label_last(self, tmp_path):
-        records = [
-            meta.MetaRecord(np.array([0.25, 0.5]), 1),
-            meta.MetaRecord(np.array([0.75, 0.125]), 0),
-        ]
+        X = np.array([[0.25, 0.5], [0.75, 0.125]])
         path = tmp_path / "meta.csv"
-        attacks.export_metadata_csv(records, path)
+        attacks.export_metadata_csv(X, np.array([1, 0]), path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "0.25,0.5,1"
         assert lines[1] == "0.75,0.125,0"
@@ -472,7 +494,7 @@ class TestRunMr:
         Fs = features(shadow, s_models, shadow_rows, meta.out_of_bag_proba)
         ys = np.r_[np.ones(split.shadow_train.size), np.zeros(split.shadow_test.size)]
         expect = [
-            meta.fit_arrays("mlp", Fs, ys, hyper=mlp, seed=attacks._seq_int(s))
+            meta.fit("mlp", Fs, ys, hyper=mlp, seed=attacks._seq_int(s))
             for s in seeds[-1].spawn(len(stackers))
         ]
         for m, e in zip(stackers, expect):

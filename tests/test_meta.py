@@ -7,10 +7,6 @@ from compaudit import meta
 from compaudit.errors import DegenerateDataError, InputError, ShapeError
 
 
-def records(X, y):
-    return [meta.MetaRecord(X[i], int(y[i])) for i in range(len(y))]
-
-
 def one_d_separable(n=40, seed=0):
     rng = np.random.default_rng(seed)
     y = np.arange(n) % 2
@@ -21,13 +17,13 @@ def one_d_separable(n=40, seed=0):
 class TestLogistic:
     def test_separable_data_perfect_accuracy(self):
         X, y = one_d_separable()
-        clf = meta.fit("lr", records(X, y), seed=0)
+        clf = meta.fit("lr", X, y, seed=0)
         assert np.mean(meta.predict(clf, X) == (y == 1)) == 1.0
 
     def test_duplicate_point_with_both_labels_scores_half(self):
         X = np.array([[0.3, -0.2], [0.3, -0.2]])
         y = np.array([0, 1])
-        clf = meta.fit("lr", records(X, y), seed=0)
+        clf = meta.fit("lr", X, y, seed=0)
         assert meta.score_proba(clf, X[0]) == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_weights_score_half(self):
@@ -56,8 +52,8 @@ class TestLogistic:
 
     def test_refit_reproduces_parameters(self):
         X, y = one_d_separable(seed=3)
-        a = meta.fit("lr", records(X, y), seed=7)
-        b = meta.fit("lr", records(X, y), seed=7)
+        a = meta.fit("lr", X, y, seed=7)
+        b = meta.fit("lr", X, y, seed=7)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
@@ -66,7 +62,7 @@ class TestRandomForest:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
         hyper = meta.RfHyper(n_trees=1, max_depth=1, bootstrap=False)
-        clf = meta.fit("rf", records(X, y), hyper=hyper, seed=0)
+        clf = meta.fit("rf", X, y, hyper=hyper, seed=0)
         acc = np.mean(meta.predict(clf, X) == (y == 1))
         assert acc <= 0.75
 
@@ -74,13 +70,13 @@ class TestRandomForest:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
         hyper = meta.RfHyper(n_trees=25, max_depth=4, bootstrap=False)
-        clf = meta.fit("rf", records(X, y), hyper=hyper, seed=1)
+        clf = meta.fit("rf", X, y, hyper=hyper, seed=1)
         assert np.mean(meta.predict(clf, X) == (y == 1)) == 1.0
 
     def test_unanimous_trees_score_one(self):
         X, y = one_d_separable(seed=4)
         hyper = meta.RfHyper(n_trees=10, max_depth=3, bootstrap=False)
-        clf = meta.fit("rf", records(X, y), hyper=hyper, seed=2)
+        clf = meta.fit("rf", X, y, hyper=hyper, seed=2)
         assert meta.score_proba(clf, np.array([1.0])) == 1.0
         assert meta.score_proba(clf, np.array([-1.0])) == 0.0
 
@@ -88,7 +84,7 @@ class TestRandomForest:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(80, 6))
         y = rng.integers(0, 2, 80)
-        clf = meta.fit("rf", records(X, y), hyper=meta.RfHyper(n_trees=15, max_depth=4), seed=3)
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=15, max_depth=4), seed=3)
         p = meta.score_proba(clf, rng.normal(size=(40, 6)))
         assert np.all((p >= 0.0) & (p <= 1.0))
 
@@ -97,15 +93,39 @@ class TestRandomForest:
         X = rng.normal(size=(60, 5))
         y = rng.integers(0, 2, 60)
         hyper = meta.RfHyper(n_trees=8, max_depth=5)
-        a = meta.fit("rf", records(X, y), hyper=hyper, seed=11)
-        b = meta.fit("rf", records(X, y), hyper=hyper, seed=11)
+        a = meta.fit("rf", X, y, hyper=hyper, seed=11)
+        b = meta.fit("rf", X, y, hyper=hyper, seed=11)
+        assert len(a.trees) == len(b.trees) == 8
+        for ta, tb in zip(a.trees, b.trees):
+            assert all(np.array_equal(u, v) for u, v in zip(ta, tb))
 
-        def walk(node):
-            if node.is_leaf():
-                return ("leaf", node.prob)
-            return (node.feature, node.threshold, walk(node.left), walk(node.right))
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_scores_match_a_per_row_walk_of_the_node_arrays(self, min_leaf):
+        rng = np.random.default_rng(12)
+        X = np.round(rng.normal(size=(120, 7)), 1)  # rounding makes ties
+        y = (X[:, 0] + rng.normal(size=120) > 0).astype(int)
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=30, min_leaf=min_leaf), seed=4)
 
-        assert [walk(t) for t in a.trees] == [walk(t) for t in b.trees]
+        def leaf_value(tree, x):
+            node = 0
+            while tree.left[node] >= 0:
+                go_left = x[tree.feature[node]] < tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            return tree.value[node]
+
+        Xt = rng.normal(size=(50, 7))
+        expect = np.zeros(50)
+        for tree in clf.trees:
+            expect += [leaf_value(tree, x) for x in Xt]
+        assert np.array_equal(meta.score_proba(clf, Xt), expect / len(clf.trees))
+
+        total, count = np.zeros(120), np.zeros(120)
+        for tree, seq in zip(clf.trees, np.random.SeedSequence(4).spawn(len(clf.trees))):
+            in_bag = set(np.random.default_rng(seq).integers(0, 120, 120).tolist())
+            for i in sorted(set(range(120)) - in_bag):
+                total[i] += leaf_value(tree, X[i])
+                count[i] += 1
+        assert np.array_equal(meta.out_of_bag_proba(clf, X), total / count)
 
     def test_out_of_bag_scores_ignore_in_bag_rows(self):
         # labels carry no signal: deep trees memorize their bootstrap rows,
@@ -113,7 +133,7 @@ class TestRandomForest:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(200, 4))
         y = np.arange(200) % 2
-        clf = meta.fit("rf", records(X, y), hyper=meta.RfHyper(n_trees=40, max_depth=30), seed=5)
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=40, max_depth=30), seed=5)
 
         def ba(p):
             return 0.5 * (np.mean(p[y == 1] >= 0.5) + np.mean(p[y == 0] < 0.5))
@@ -125,10 +145,10 @@ class TestRandomForest:
 
     def test_out_of_bag_needs_bagging_and_a_left_out_tree(self):
         X, y = one_d_separable(seed=8)
-        unbagged = meta.fit("rf", records(X, y), hyper=meta.RfHyper(n_trees=5, bootstrap=False))
+        unbagged = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=5, bootstrap=False))
         with pytest.raises(InputError):
             meta.out_of_bag_proba(unbagged, X)
-        single = meta.fit("rf", records(X, y), hyper=meta.RfHyper(n_trees=1), seed=1)
+        single = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=1), seed=1)
         with pytest.raises(DegenerateDataError):
             meta.out_of_bag_proba(single, X)
 
@@ -136,14 +156,14 @@ class TestRandomForest:
 class TestMlp:
     def test_separable_data(self):
         X, y = one_d_separable(seed=7)
-        clf = meta.fit("mlp", records(X, y), seed=5)
+        clf = meta.fit("mlp", X, y, seed=5)
         assert np.mean(meta.predict(clf, X) == (y == 1)) == 1.0
 
     def test_batch_order_invariance(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(30, 3))
         y = rng.integers(0, 2, 30)
-        clf = meta.fit("mlp", records(X, y), seed=6)
+        clf = meta.fit("mlp", X, y, seed=6)
         p = meta.score_proba(clf, X)
         perm = rng.permutation(30)
         p_perm = meta.score_proba(clf, X[perm])
@@ -182,26 +202,44 @@ class TestMlp:
 
     def test_refit_reproduces_parameters(self):
         X, y = one_d_separable(seed=10)
-        a = meta.fit("mlp", records(X, y), seed=9)
-        b = meta.fit("mlp", records(X, y), seed=9)
+        a = meta.fit("mlp", X, y, seed=9)
+        b = meta.fit("mlp", X, y, seed=9)
         assert np.array_equal(a.W1, b.W1) and np.array_equal(a.w2, b.w2)
 
 
 class TestContracts:
     def test_single_class_rejected(self):
-        X = np.ones((5, 2))
-        clf_records = records(X, np.ones(5))
         with pytest.raises(DegenerateDataError):
-            meta.fit("lr", clf_records)
+            meta.fit("lr", np.ones((5, 2)), np.ones(5))
 
     def test_mismatched_feature_length_rejected(self):
-        recs = [meta.MetaRecord(np.ones(3), 1), meta.MetaRecord(np.ones(4), 0)]
+        # a ragged record list cannot exist as an array: the row counts of
+        # X and y are what can disagree
         with pytest.raises(ShapeError):
-            meta.fit("lr", recs)
+            meta.fit("lr", np.ones((3, 2)), np.array([1, 0]))
+
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(ShapeError):
+            meta.fit("lr", np.array([0.1, 0.9]), np.array([1, 0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.array([[0.1, 0.2], [0.3, bad]])
+        with pytest.raises(InputError):
+            meta.fit("lr", X, np.array([1, 0]))
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_labels_outside_zero_one_rejected(self, bad):
+        with pytest.raises(InputError):
+            meta.fit("lr", np.ones((2, 2)), np.array([1, bad]))
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(InputError):
+            meta.fit("lr", np.ones((0, 2)), np.array([], dtype=np.int64))
 
     def test_score_length_mismatch_rejected(self):
         X, y = one_d_separable()
-        clf = meta.fit("lr", records(X, y))
+        clf = meta.fit("lr", X, y)
         with pytest.raises(ShapeError):
             meta.score_proba(clf, np.ones(5))
 

@@ -239,6 +239,19 @@ class TestCli:
                          "--stage", "attack"])
         assert code == 2
 
+    def test_truncated_score_file_exit_two(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(MINIMAL, encoding="utf-8")
+        out = tmp_path / "out"
+        for stage in ("train", "compress", "attack"):
+            assert cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", stage]) == 0
+        score = out / "checkpoints" / "scores" / "rep0" / "nr_loss__prune70.json"
+        score.write_bytes(score.read_bytes()[:40])
+        code = cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", "evaluate"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "malformed JSON" in err[0]
+
     def test_report_seed_base_recorded(self, tmp_path):
         plan_path = tmp_path / "plan.ini"
         plan_path.write_text(MINIMAL, encoding="utf-8")
