@@ -134,20 +134,27 @@ def save_model(path, model: FcnModel | CompressedModel):
 
 
 def load_model(path) -> FcnModel | CompressedModel:
-    """Read a model checkpoint; returns a CompressedModel when constrained."""
+    """Read a model checkpoint; returns a CompressedModel when constrained.
+
+    A missing or malformed field, the constraint's included, raises
+    CheckpointError.
+    """
     d = _load(path)
     if d.get("kind") != "fcn":
         raise CheckpointError(f"{path}: not a model checkpoint")
-    model = FcnModel(
-        [int(s) for s in d["layer_sizes"]],
-        [np.asarray(w, dtype=float) for w in d["weights"]],
-        [np.asarray(b, dtype=float) for b in d["biases"]],
-        [float(p) for p in d["dropout_rates"]],
-    )
-    constraint = _constraint_from_dict(d.get("constraint"))
-    if constraint is None:
-        return model
-    return CompressedModel(model, constraint, d["family"], float(d["degree_tag"]))
+    try:
+        model = FcnModel(
+            [int(s) for s in d["layer_sizes"]],
+            [np.asarray(w, dtype=float) for w in d["weights"]],
+            [np.asarray(b, dtype=float) for b in d["biases"]],
+            [float(p) for p in d["dropout_rates"]],
+        )
+        constraint = _constraint_from_dict(d.get("constraint"))
+        if constraint is None:
+            return model
+        return CompressedModel(model, constraint, d["family"], float(d["degree_tag"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed model ({exc!r})") from None
 
 
 _TREE_DTYPES = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,

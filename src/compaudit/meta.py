@@ -8,7 +8,11 @@ feature matrix X (one row per sample) and membership labels y in {0, 1}:
 - "rf": random forest of CART trees with Gini splits, per-node feature
   subsampling of sqrt(d), bootstrap bagging, and leaf-fraction
   probabilities averaged over trees; each tree is five flat node arrays
-  (``Tree``), as in scikit-learn's tree layout;
+  (``Tree``), as in scikit-learn's tree layout. Trees grow in lockstep
+  groups: every step searches the next node of each tree in the group in
+  one vectorized pass, while each tree draws its bootstrap and feature
+  subsets from its own generator in preorder, so the trees do not depend
+  on the group size;
 - "mlp": one-hidden-layer perceptron (ReLU, sigmoid output) trained with
   full-batch gradient descent on binary cross-entropy.
 
@@ -113,79 +117,6 @@ class Tree(NamedTuple):
     value: np.ndarray
 
 
-def _gini_best_split(cols, y, min_leaf):
-    """Best (candidate column, threshold) for a node's rows, or None.
-
-    ``cols`` holds the node's rows of the candidate features. Each column
-    is sorted and every midpoint between distinct consecutive values is
-    scored with the weighted Gini impurity, vectorized over all candidates
-    through cumulative positive counts. Ties go to the earlier candidate
-    column, then to the lower midpoint.
-    """
-    n = y.shape[0]
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=0)
-    lp = np.cumsum(y[order], axis=0)[:-1]
-    left_n = np.arange(1, n)[:, None]
-    valid = xs[1:] != xs[:-1]
-    if min_leaf > 1:
-        valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
-    rn = n - left_n
-    rp = int(y.sum()) - lp
-    gini_l = 1.0 - (lp / left_n) ** 2 - ((left_n - lp) / left_n) ** 2
-    gini_r = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
-    score = np.where(valid, (left_n * gini_l + rn * gini_r) / n, np.inf)
-    rows = np.argmin(score, axis=0)
-    col_best = score[rows, np.arange(score.shape[1])]
-    j = int(np.argmin(col_best))
-    if not np.isfinite(col_best[j]):
-        return None
-    i = rows[j]
-    return j, float((xs[i, j] + xs[i + 1, j]) / 2.0)
-
-
-def _grow_tree(X, y, rows, rng, hyper: RfHyper, n_sub) -> Tree:
-    """Grow one tree on the rows ``rows`` of (X, y), depth-first, left first.
-
-    Nodes are visited in preorder from an explicit stack, so each node's
-    feature subset is drawn from ``rng`` in that order. A stack entry is
-    (row indices into X, depth, parent node, whether the node is the
-    parent's left child).
-    """
-    feature, threshold, left, right, value = [], [], [], [], []
-    stack = [(rows, 0, -1, True)]
-    while stack:
-        rows, depth, parent, is_left = stack.pop()
-        node = len(value)
-        if parent >= 0:
-            (left if is_left else right)[parent] = node
-        yr = y[rows]
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(float(yr.mean()))
-        if depth >= hyper.max_depth or rows.size < 2 * hyper.min_leaf or yr.min() == yr.max():
-            continue
-        feature_ids = rng.permutation(X.shape[1])[:n_sub]
-        best = _gini_best_split(X[np.ix_(rows, feature_ids)], yr, hyper.min_leaf)
-        if best is None:
-            continue
-        j, thr = best
-        f = int(feature_ids[j])
-        feature[node], threshold[node] = f, thr
-        mask = X[rows, f] < thr
-        stack.append((rows[~mask], depth + 1, node, False))
-        stack.append((rows[mask], depth + 1, node, True))
-    return Tree(
-        np.array(feature, dtype=np.int64),
-        np.array(threshold, dtype=float),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(value, dtype=float),
-    )
-
-
 def _leaf_values(tree: Tree, X) -> np.ndarray:
     """Each row's leaf value: all rows move down one level per gather."""
     rows = np.arange(X.shape[0])
@@ -222,18 +153,211 @@ def _tree_seeds(seed: int, n_trees: int):
     return np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF).spawn(n_trees)
 
 
+# The (row, candidate column) cells that one growth step may search. Trees
+# join a group while the cells of their roots, the largest nodes they will
+# search, fit under this cap. A step needs 55 to 85 bytes of working memory
+# a cell, so the cap holds it to a few megabytes whatever the forest's
+# size; a smaller cap means more, smaller steps and a slower fit.
+_STEP_CELLS = 32768
+
+
+def _column_ranks(X):
+    """Dense rank of each entry within its column, and the distinct values.
+
+    ``ranks[j]`` ranks column j; ``values[j, r]`` is its r-th smallest
+    distinct value, padded with zeros up to the largest distinct count.
+    """
+    columns = [np.unique(c, return_inverse=True) for c in X.T]
+    ranks = np.stack([inverse for _, inverse in columns]).astype(np.int32)
+    values = np.zeros((X.shape[1], max(u.size for u, _ in columns)))
+    for j, (u, _) in enumerate(columns):
+        values[j, : u.size] = u
+    return ranks, values
+
+
 def _fit_rf(X, y, hyper: RfHyper, seed: int) -> RandomForestMeta:
     n, d = X.shape
     n_sub = max(1, int(np.floor(np.sqrt(d))))
-    trees = []
+    ranks, values = _column_ranks(X)
+    trees, group, cells = [], [], 0
     for tree_seed in _tree_seeds(seed, hyper.n_trees):
         rng = np.random.default_rng(tree_seed)
         if hyper.bootstrap:
-            idx = rng.integers(0, n, n)
+            counts = np.bincount(rng.integers(0, n, n), minlength=n)
         else:
-            idx = np.arange(n)
-        trees.append(_grow_tree(X, y, idx, rng, hyper, n_sub))
+            counts = np.ones(n, dtype=np.int64)
+        rows = np.flatnonzero(counts)
+        if group and cells + rows.size * n_sub > _STEP_CELLS:
+            trees += _grow_lockstep(X, y, ranks, values, group, hyper, n_sub)
+            group, cells = [], 0
+        group.append((rng, rows, counts[rows]))
+        cells += rows.size * n_sub
+    trees += _grow_lockstep(X, y, ranks, values, group, hyper, n_sub)
     return RandomForestMeta(trees, d, seed, bootstrap=hyper.bootstrap)
+
+
+def _grow_lockstep(X, y, ranks, values, group, hyper: RfHyper, n_sub) -> list[Tree]:
+    """Grow the trees of ``group`` together, depth-first, left child first.
+
+    ``group`` holds each tree's (rng, distinct bootstrap rows, their
+    multiplicities). Each tree pops nodes from its own stack in preorder,
+    so it draws its feature subsets from its own rng in the order of a
+    tree grown alone. A step advances every tree to its next node that
+    needs a split search and searches those nodes together. The distinct
+    rows of all trees sit in one buffer and a node is a range of it; a
+    split reorders the range so that the left child's rows come first. A
+    stack entry is (range start, range end, row count, member count,
+    depth, parent node, whether the node is the parent's left child),
+    where counts include multiplicities.
+    """
+    rows = np.concatenate([r for _, r, _ in group]).astype(np.int32)
+    w = np.concatenate([m for _, _, m in group]).astype(np.int32)
+    wy = (w * y[rows]).astype(np.int32)
+    buf = np.arange(rows.size)
+    stacks, built, start = [], [], 0
+    for _, r, m in group:
+        end = start + r.size
+        stacks.append([(start, end, int(m.sum()), int(wy[start:end].sum()), 0, -1, True)])
+        built.append(([], [], [], [], []))
+        start = end
+    d = X.shape[1]
+    active = list(range(len(group)))
+    while active:
+        popped = []
+        for t in active:
+            stack, (feature, threshold, left, right, value) = stacks[t], built[t]
+            while stack:
+                lo, hi, n, p, depth, parent, is_left = stack.pop()
+                node = len(value)
+                if parent >= 0:
+                    (left if is_left else right)[parent] = node
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                # a child is empty when the midpoint of two adjacent floats
+                # rounds down to the lower one; its value is NaN
+                value.append(p / n if n else np.nan)
+                if depth < hyper.max_depth and n >= 2 * hyper.min_leaf and 0 < p < n:
+                    feats = group[t][0].permutation(d)[:n_sub]
+                    popped.append((t, node, lo, hi, n, p, depth, feats))
+                    break
+        if popped:
+            for k, f, thr, mid, n_left, p_left in zip(*_split_step(
+                X, ranks, values, buf, rows, w, wy, popped, hyper.min_leaf
+            )):
+                t, node, lo, hi, n, p, depth, _ = popped[k]
+                built[t][0][node], built[t][1][node] = f, thr
+                stacks[t].append((mid, hi, n - n_left, p - p_left, depth + 1, node, False))
+                stacks[t].append((lo, mid, n_left, p_left, depth + 1, node, True))
+        active = [t for t in active if stacks[t]]
+    return [
+        Tree(
+            np.array(feature, dtype=np.int64),
+            np.array(threshold, dtype=float),
+            np.array(left, dtype=np.int64),
+            np.array(right, dtype=np.int64),
+            np.array(value, dtype=float),
+        )
+        for feature, threshold, left, right, value in built
+    ]
+
+
+def _gini(members, rows):
+    """Gini impurity 1 - (members/rows)^2 - (others/rows)^2 of each count pair."""
+    impurity = members / rows
+    impurity **= 2
+    others = (rows - members) / rows
+    others **= 2
+    np.subtract(1.0, impurity, out=impurity)
+    impurity -= others
+    return impurity
+
+
+def _split_step(X, ranks, values, buf, rows, w, wy, popped, min_leaf):
+    """Best Gini split of every popped node at once; partitions ``buf``.
+
+    Each (node, candidate column) pair is a segment of one integer-key
+    sort by (node, candidate, rank). At every boundary between distinct
+    values, cumulative multiplicities give the left row and member counts,
+    which are scored with the weighted Gini impurity. A node takes the
+    lowest score, ties going to the earlier candidate, then to the lower
+    midpoint. Returns, as lists, each split node's index in ``popped``,
+    feature, threshold, the start of its right child's range, and its left
+    child's row and member counts; a node without a valid boundary is left
+    out.
+    """
+    lo = np.array([q[2] for q in popped])
+    sizes = np.array([q[3] for q in popped]) - lo
+    n_node = np.array([q[4] for q in popped], dtype=np.int32)
+    p_node = np.array([q[5] for q in popped], dtype=np.int32)
+    cand = np.array([q[7] for q in popped], dtype=np.int32)
+    K, n_sub = cand.shape
+    n_ranks = values.shape[1]
+    offsets = np.cumsum(sizes) - sizes
+    node_of = np.repeat(np.arange(K, dtype=np.int32), sizes)
+    idx = np.repeat(lo - offsets, sizes) + np.arange(node_of.size)
+    e = buf[idx]
+    r = rows[e]
+    # keys and cumulative counts stay below K * n_sub * (row count)
+    dtype = np.int32 if K * n_sub * ranks.shape[1] < 2**31 else np.int64
+    key = ranks.take((cand * ranks.shape[1])[node_of] + r[:, None]).astype(dtype, copy=False)
+    key += node_of.astype(dtype)[:, None] * (n_sub * n_ranks)
+    key += np.arange(n_sub, dtype=dtype) * n_ranks
+    key = key.ravel()
+    order = np.argsort(key)
+    key = key[order]
+    order //= n_sub
+    w_e, wy_e = w[e], wy[e]
+    cw = np.cumsum(w_e[order], dtype=dtype)
+    cwy = np.cumsum(wy_e[order], dtype=dtype)
+    # each del below frees a per-cell array before the scoring, which is
+    # where a step's memory peaks
+    del order
+    seg_size = np.repeat(sizes, n_sub)
+    seg_start = np.cumsum(seg_size) - seg_size
+    base_n, base_p = cw[seg_start - 1], cwy[seg_start - 1]
+    base_n[0] = base_p[0] = 0
+    boundary = key[1:] != key[:-1]
+    boundary[seg_start[1:] - 1] = False
+    pos = np.flatnonzero(boundary)
+    del boundary
+    seg = key[pos] // n_ranks
+    left_n = cw[pos] - base_n[seg]
+    lp = cwy[pos] - base_p[seg]
+    del cw, cwy
+    node = seg // n_sub
+    del seg
+    n = n_node[node]
+    if min_leaf > 1:
+        keep = np.flatnonzero((left_n >= min_leaf) & (n - left_n >= min_leaf))
+        pos, node, left_n, lp, n = (a[keep] for a in (pos, node, left_n, lp, n))
+    # score = (left_n * gini_l + rn * gini_r) / n with gini = 1 - a^2 - b^2,
+    # evaluated in place operation by operation, so every bit is the same
+    score = _gini(lp, left_n)
+    score *= left_n
+    rn = n - left_n
+    score += _gini(p_node[node] - lp, rn) * rn
+    score /= n
+    bounds = np.searchsorted(node, np.arange(K + 1))
+    split = np.flatnonzero(bounds[1:] > bounds[:-1])
+    first = bounds[split]
+    best = np.empty(K)
+    best[split] = np.minimum.reduceat(score, first)
+    hits = np.flatnonzero(score == best[node])
+    pick = hits[np.searchsorted(hits, first)]
+    pos = pos[pick]
+    seg = key[pos] // n_ranks
+    f = cand[split, seg - split * n_sub]
+    thr = (values[f, key[pos] - seg * n_ranks] + values[f, key[pos + 1] - seg * n_ranks]) / 2.0
+    feat, cut = np.zeros(K, dtype=np.int32), np.full(K, np.inf)
+    feat[split], cut[split] = f, thr
+    go_left = X[r, feat[node_of]] < cut[node_of]
+    buf[idx] = e[np.argsort(2 * node_of + ~go_left, kind="stable")]
+    on_left = np.stack([go_left, w_e * go_left, wy_e * go_left])
+    n_distinct, n_left, p_left = np.add.reduceat(on_left, offsets, axis=1)[:, split]
+    mid = lo[split] + n_distinct
+    return [a.tolist() for a in (split, f, thr, mid, n_left, p_left)]
 
 
 def out_of_bag_proba(clf: RandomForestMeta, X: np.ndarray) -> np.ndarray:

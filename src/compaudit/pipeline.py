@@ -13,13 +13,15 @@ in isolation:
 
 Every number is a pure function of the plan text and the seed base: cell
 seeds are derived by hashing (seed_base, repetition, role), stages skip
-work whose output file already exists, and all serialization is
-byte-stable, so rerunning an identical plan reproduces identical reports.
+work whose output file already exists (a score or metric file that does
+not parse is computed again), and all serialization is byte-stable, so
+rerunning an identical plan reproduces identical reports.
 One attack cell failing is recorded in the report and never aborts the
 run.
 """
 
 import csv
+import functools
 import hashlib
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attacks, checkpoint, compress, data, meta, metrics, nn
-from .errors import CompauditError, DependencyError
+from .errors import CheckpointError, CompauditError, DependencyError
 from .plan import ExperimentPlan
 
 SCHEMA_VERSION = 1
@@ -153,6 +155,17 @@ def _model_dir(out: Path, rep: int) -> Path:
     return out / "checkpoints" / "models" / f"rep{rep}"
 
 
+def _intact(path: Path) -> bool:
+    """Whether a stage output exists and parses; a damaged one is computed again."""
+    if not path.exists():
+        return False
+    try:
+        checkpoint.read_json(path)
+    except CheckpointError:
+        return False
+    return True
+
+
 def _train_indices(split: data.SplitPlan, role: str) -> np.ndarray:
     return split.victim_train if role == "victim" else split.shadow_train
 
@@ -211,6 +224,12 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
         orig_path = _model_dir(out, rep) / f"original_{role}.json"
         if not orig_path.exists():
             raise DependencyError(f"compress needs the train stage output {orig_path}")
+        missing = [
+            key for key in plan.compression_keys()
+            if not (_model_dir(out, rep) / f"{key}_{role}.json").exists()
+        ]
+        if not missing:
+            continue
         original = checkpoint.load_model(orig_path)
         train_idx = _train_indices(split, role)
         if spec.finetune_fraction < 1.0:
@@ -220,10 +239,8 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
             )
             train_idx = ft_plan.fine_indices
         train_xy = dataset.xy(train_idx)
-        for key in plan.compression_keys():
+        for key in missing:
             path = _model_dir(out, rep) / f"{key}_{role}.json"
-            if path.exists():
-                continue
             seed = derive_seed(plan.seed_base, rep, "compress", role, key)
             cfg = _train_config(plan, seed=seed, epochs=ft_epochs, lr=ft_lr)
             if key.startswith("prune"):
@@ -279,12 +296,13 @@ def _attack_cells(plan: ExperimentPlan) -> list[tuple[str, str]]:
     return sorted(set(cells))
 
 
-def _run_attack_cell(plan, dataset, split, out, rep, attack_key, target_key):
+def _run_attack_cell(plan, dataset, split, pair, rep, attack_key, target_key):
+    """Scores of one cell; ``pair(key)`` gives the (victim, shadow) models of a target."""
     seed = derive_seed(plan.seed_base, rep, "attack", attack_key, target_key)
     extra = {}
     if attack_key.startswith("nr_"):
         name = attack_key[len("nr_"):]
-        victim, shadow = _load_pair(out, rep, target_key)
+        victim, shadow = pair(target_key)
         if name in ("loss", "mentr"):
             tau, scores = attacks.run_nr_metric(dataset, split, victim, shadow, metric=name)
             extra["tau"] = tau
@@ -298,18 +316,18 @@ def _run_attack_cell(plan, dataset, split, out, rep, attack_key, target_key):
     elif attack_key.startswith("sr_"):
         method, clf_kind = attack_key[len("sr_"):].rsplit("_", 1)
         construction = attacks.SrConstruction(method)
-        victim_orig, shadow_orig = _load_pair(out, rep, "original")
-        victim_cm, shadow_cm = _load_pair(out, rep, target_key)
+        victim_orig, shadow_orig = pair("original")
+        victim_cm, shadow_cm = pair(target_key)
         _, scores = attacks.run_sr(
             dataset, split, victim_orig, victim_cm, shadow_orig, shadow_cm,
             construction, clf_kind, seed=seed,
         )
     else:  # mr_
         adversary = attack_key[len("mr_"):]
-        victim_orig, shadow_orig = _load_pair(out, rep, "original")
+        victim_orig, shadow_orig = pair("original")
         victim_models, shadow_models = [], []
         for key in target_key.split("+"):
-            v, s = _load_pair(out, rep, key)
+            v, s = pair(key)
             victim_models.append(v)
             shadow_models.append(s)
         _, scores = attacks.run_mr(
@@ -327,15 +345,18 @@ def _attack_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
     dataset = build_dataset(plan)
     split = build_split(plan, dataset, rep)
     failures = []
+    # attacks only run forward passes, so the cells of a repetition share
+    # one loaded copy of each model
+    pair = functools.cache(lambda key: _load_pair(out, rep, key))
     # the directory marks stage completion even when every cell fails
     (out / "checkpoints" / "scores" / f"rep{rep}").mkdir(parents=True, exist_ok=True)
     for attack_key, target_key in _attack_cells(plan):
         cell = f"{attack_key}__{target_key}"
         path = out / "checkpoints" / "scores" / f"rep{rep}" / f"{cell}.json"
-        if path.exists():
+        if _intact(path):
             continue
         try:
-            scores, extra = _run_attack_cell(plan, dataset, split, out, rep, attack_key, target_key)
+            scores, extra = _run_attack_cell(plan, dataset, split, pair, rep, attack_key, target_key)
         except DependencyError:
             raise
         except CompauditError as exc:  # per-cell isolation
@@ -383,7 +404,7 @@ def _evaluate_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
     (out / "checkpoints" / "metrics" / f"rep{rep}").mkdir(parents=True, exist_ok=True)
     for score_path in sorted(score_dir.glob("*.json")):
         metric_path = out / "checkpoints" / "metrics" / f"rep{rep}" / score_path.name
-        if metric_path.exists():
+        if _intact(metric_path):
             continue
         payload = checkpoint.read_json(score_path)
         scores = metrics.AttackScoreSet(

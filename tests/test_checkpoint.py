@@ -62,6 +62,25 @@ class TestModelCheckpoints:
         with pytest.raises(CheckpointError):
             checkpoint.load_model(p)
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("biases"),
+        lambda d: d.pop("layer_sizes"),
+        lambda d: d.update(weights=7),
+        lambda d: d["constraint"].pop("kind"),
+        lambda d: d["constraint"].pop("masks"),
+        lambda d: d.update(constraint=[1, 2]),
+        lambda d: d.update(degree_tag=None),
+        lambda d: d.pop("family"),
+    ])
+    def test_missing_or_malformed_field_is_checkpoint_error(self, tmp_path, edit):
+        p = tmp_path / "cm.json"
+        checkpoint.save_model(p, compress.prune_l1(sample_model(), 0.5))
+        d = json.loads(p.read_text())
+        edit(d)
+        p.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="malformed model"):
+            checkpoint.load_model(p)
+
 
 class TestClassifierCheckpoints:
     def fit_data(self, seed=0):

@@ -153,6 +153,164 @@ class TestRandomForest:
             meta.out_of_bag_proba(single, X)
 
 
+def _reference_split(cols, y, min_leaf):
+    """Best (candidate, threshold) for one node by the one-node-at-a-time search."""
+    n = y.shape[0]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)
+    lp = np.cumsum(y[order], axis=0)[:-1]
+    left_n = np.arange(1, n)[:, None]
+    valid = xs[1:] != xs[:-1]
+    if min_leaf > 1:
+        valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
+    rn = n - left_n
+    rp = int(y.sum()) - lp
+    gini_l = 1.0 - (lp / left_n) ** 2 - ((left_n - lp) / left_n) ** 2
+    gini_r = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
+    score = np.where(valid, (left_n * gini_l + rn * gini_r) / n, np.inf)
+    rows = np.argmin(score, axis=0)
+    col_best = score[rows, np.arange(score.shape[1])]
+    j = int(np.argmin(col_best))
+    if not np.isfinite(col_best[j]):
+        return None
+    i = rows[j]
+    return j, float((xs[i, j] + xs[i + 1, j]) / 2.0)
+
+
+def _reference_tree(X, y, rows, rng, hyper, n_sub):
+    """One tree grown alone, depth-first from an explicit stack over row indices.
+
+    Returns the tree and how many searched nodes found no valid split.
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+    dead_ends = 0
+    stack = [(rows, 0, -1, True)]
+    while stack:
+        rows, depth, parent, is_left = stack.pop()
+        node = len(value)
+        if parent >= 0:
+            (left if is_left else right)[parent] = node
+        yr = y[rows]
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(yr.mean()))
+        if depth >= hyper.max_depth or rows.size < 2 * hyper.min_leaf or yr.min() == yr.max():
+            continue
+        feature_ids = rng.permutation(X.shape[1])[:n_sub]
+        best = _reference_split(X[np.ix_(rows, feature_ids)], yr, hyper.min_leaf)
+        if best is None:
+            dead_ends += 1
+            continue
+        j, thr = best
+        f = int(feature_ids[j])
+        feature[node], threshold[node] = f, thr
+        mask = X[rows, f] < thr
+        stack.append((rows[~mask], depth + 1, node, False))
+        stack.append((rows[mask], depth + 1, node, True))
+    tree = meta.Tree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=float),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(value, dtype=float),
+    )
+    return tree, dead_ends
+
+
+def reference_forest(X, y, hyper, seed):
+    """The forest grown one tree after another; returns it and its dead-end count."""
+    n, d = X.shape
+    n_sub = max(1, int(np.floor(np.sqrt(d))))
+    trees, dead_ends = [], 0
+    for tree_seed in np.random.SeedSequence(seed).spawn(hyper.n_trees):
+        rng = np.random.default_rng(tree_seed)
+        rows = rng.integers(0, n, n) if hyper.bootstrap else np.arange(n)
+        tree, dead = _reference_tree(X, y, rows, rng, hyper, n_sub)
+        trees.append(tree)
+        dead_ends += dead
+    return meta.RandomForestMeta(trees, d, seed, hyper.bootstrap), dead_ends
+
+
+def growth_data(kind, n=150, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "continuous":
+        X = rng.normal(size=(n, 6))
+    elif kind == "ties":
+        X = np.round(rng.normal(size=(n, 6)), 1)
+    elif kind == "discrete":  # a one-hot block, small integers and a coarse score
+        X = np.concatenate([np.eye(4)[rng.integers(0, 4, n)], rng.integers(0, 3, (n, 2)),
+                            np.round(rng.random((n, 1)), 1)], axis=1)
+    elif kind == "one_column":
+        X = np.round(rng.normal(size=(n, 1)), 1)
+    elif kind == "adjacent":  # the midpoint of 1 and the next float rounds down to 1
+        X = np.where(rng.random((n, 1)) < 0.5, 1.0, np.nextafter(1.0, 2.0))
+    else:  # "constant": most candidate pairs hold only constant columns
+        X = np.concatenate([rng.normal(size=(n, 1)), np.ones((n, 4))], axis=1)
+    y = (X[:, 0] + rng.normal(size=n) > 0).astype(int)
+    return X, y
+
+
+class TestLockstepGrowth:
+    """The lockstep grower against the trees grown one at a time."""
+
+    @staticmethod
+    def assert_same_forest(clf, ref):
+        assert len(clf.trees) == len(ref.trees)
+        for got, want in zip(clf.trees, ref.trees):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("kind, bootstrap, min_leaf, max_depth", [
+        ("continuous", True, 1, 12),
+        ("continuous", False, 1, 12),
+        ("ties", True, 3, 12),
+        ("ties", False, 3, 12),
+        ("discrete", True, 1, 12),
+        ("discrete", False, 3, 12),
+        ("discrete", True, 1, 2),
+        ("one_column", True, 1, 12),
+        ("one_column", False, 3, 2),
+        ("constant", True, 1, 12),
+        ("adjacent", False, 1, 4),
+    ])
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
+    def test_trees_match_the_one_at_a_time_grower(self, kind, bootstrap, min_leaf, max_depth):
+        X, y = growth_data(kind)
+        hyper = meta.RfHyper(n_trees=15, max_depth=max_depth, min_leaf=min_leaf,
+                             bootstrap=bootstrap)
+        clf = meta.fit("rf", X, y, hyper=hyper, seed=21)
+        ref, dead_ends = reference_forest(X, y, hyper, 21)
+        self.assert_same_forest(clf, ref)
+        if kind == "constant":
+            assert dead_ends > 0  # searched nodes whose candidates were all constant
+        if max_depth == 2:  # some tree reaches the cap: it has a node at depth 2
+            assert 3 < max(t.value.size for t in clf.trees) <= 7
+        if kind == "adjacent":  # the split sends every row right and leaves an empty left leaf
+            assert np.isnan(clf.trees[0].value).any()
+        if bootstrap:
+            assert np.array_equal(meta.out_of_bag_proba(clf, X), meta.out_of_bag_proba(ref, X))
+
+    def test_groups_of_uneven_size(self, monkeypatch):
+        groups = []
+        grow = meta._grow_lockstep
+
+        def counting(X, y, ranks, values, group, hyper, n_sub):
+            groups.append(len(group))
+            return grow(X, y, ranks, values, group, hyper, n_sub)
+
+        monkeypatch.setattr(meta, "_grow_lockstep", counting)
+        monkeypatch.setattr(meta, "_STEP_CELLS", 1000)
+        X, y = growth_data("ties", n=120, seed=3)
+        hyper = meta.RfHyper(n_trees=23)
+        clf = meta.fit("rf", X, y, hyper=hyper, seed=8)
+        assert len(groups) > 2 and sum(groups) == 23 and 23 % groups[0] != 0
+        ref, _ = reference_forest(X, y, hyper, 8)
+        self.assert_same_forest(clf, ref)
+        assert np.array_equal(meta.out_of_bag_proba(clf, X), meta.out_of_bag_proba(ref, X))
+
+
 class TestMlp:
     def test_separable_data(self):
         X, y = one_d_separable(seed=7)

@@ -1,6 +1,7 @@
 """Pipeline stage, determinism, and CLI tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,32 @@ class TestStages:
             for role in ("victim", "shadow"):
                 cm = checkpoint.load_model(out / "checkpoints" / "models" / "rep0" / f"{key}_{role}.json")
                 assert cm.verify()
+
+    def test_each_model_loaded_once_per_repetition(self, tmp_path, monkeypatch):
+        from compaudit import checkpoint
+
+        plan = parse_plan_text(MINIMAL.replace("nr = loss", "nr = loss,mentr").replace(
+            "nr_targets = prune70", "nr_targets = original,prune70\nsr_methods = sorted_concat"
+            "\nsr_classifiers = lr"))
+        out = tmp_path / "out"
+        loads = []
+        real = checkpoint.load_model
+
+        def counting(path):
+            loads.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(checkpoint, "load_model", counting)
+        pipeline.stage_train(plan, out)
+        pipeline.stage_compress(plan, out)
+        assert sorted(loads) == ["original_shadow.json", "original_victim.json"]
+        loads.clear()
+        pipeline.stage_compress(plan, out)  # every compressed model exists
+        assert loads == []
+        pipeline.stage_attack(plan, out)
+        assert len(pipeline._attack_cells(plan)) == 5
+        assert sorted(loads) == sorted(f"{k}_{r}.json" for k in ("original", "prune70")
+                                       for r in ("victim", "shadow"))
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         plan = parse_plan_text(MINIMAL.replace("repetitions = 1", "repetitions = 2"))
@@ -251,6 +278,39 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "malformed JSON" in err[0]
+
+    def test_model_missing_a_field_exit_two(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(MINIMAL, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", "train"]) == 0
+        model = out / "checkpoints" / "models" / "rep0" / "original_victim.json"
+        d = json.loads(model.read_text())
+        del d["biases"]
+        model.write_text(json.dumps(d), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", "compress"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "malformed model" in err[0] and "biases" in err[0]
+
+    @pytest.mark.parametrize("damaged", [
+        "checkpoints/scores/rep0/nr_loss__prune70.json",
+        "checkpoints/metrics/rep0/nr_loss__prune70.json",
+    ])
+    def test_resume_recomputes_a_damaged_output(self, tmp_path, damaged):
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(MINIMAL, encoding="utf-8")
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert cli.main(["--plan", str(plan_path), "--out", str(clean)]) == 0
+        assert cli.main(["--plan", str(plan_path), "--out", str(out)]) == 0
+        path = out / damaged
+        path.write_bytes(path.read_bytes()[:40])
+        assert cli.main(["--plan", str(plan_path), "--out", str(out)]) == 0
+        assert path.read_bytes() == (clean / damaged).read_bytes()
+        files = sorted(p.relative_to(clean) for p in (clean / "report").rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out) for p in (out / "report").rglob("*") if p.is_file())
+        assert all((clean / f).read_bytes() == (out / f).read_bytes() for f in files)
 
     def test_report_seed_base_recorded(self, tmp_path):
         plan_path = tmp_path / "plan.ini"
