@@ -19,10 +19,10 @@ Three attack families, all black-box over posterior vectors:
 Every runner trains on the shadow world and scores the victim world;
 membership ground truth comes exclusively from the split plan. Attack
 scores live in [0, 1]; metric attacks expose exp(-metric) so thresholds
-carry over monotonically.
+carry over monotonically, and their score set's ``decision_threshold``
+makes a metric equal to the calibrated tau a non-member.
 """
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,18 +74,6 @@ def modified_entropy(posteriors: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -(1.0 - p_y) * log_p[idx, labels] - total
 
 
-def nr_metric_loss(posteriors: np.ndarray, labels: np.ndarray, tau: float) -> np.ndarray:
-    """Member iff cross-entropy loss < tau (a tie is a non-member)."""
-    return nn.cross_entropy_losses(posteriors, labels) < tau
-
-
-def nr_metric_modified_entropy(
-    posteriors: np.ndarray, labels: np.ndarray, tau: float
-) -> np.ndarray:
-    """Member iff modified entropy < tau (a tie is a non-member)."""
-    return modified_entropy(posteriors, labels) < tau
-
-
 def calibrate_threshold(member_values: np.ndarray, nonmember_values: np.ndarray) -> float:
     """Threshold maximizing balanced accuracy of "member iff value < tau".
 
@@ -116,31 +104,17 @@ def threshold_balanced_accuracy(member_values, nonmember_values, tau: float) -> 
     return 0.5 * (float(np.mean(mv < tau)) + float(np.mean(nv >= tau)))
 
 
-def build_nr_metadata(posterior: np.ndarray, label: int | None, with_label: bool) -> np.ndarray:
-    """Descending-sorted posterior, optionally followed by the one-hot label."""
-    labels = None if label is None else [label]
-    return build_nr_metadata_batch(np.asarray(posterior)[None], labels, with_label)[0]
-
-
 def build_nr_metadata_batch(posteriors, labels, with_label: bool) -> np.ndarray:
-    """``build_nr_metadata`` for every row of a posterior matrix."""
+    """Descending-sorted posterior rows, optionally followed by the one-hot labels."""
     P = np.asarray(posteriors, dtype=float)
     if P.ndim != 2:
-        raise ShapeError("posteriors must be an (n, C) matrix, or one vector of C")
+        raise ShapeError("posteriors must be an (n, C) matrix")
     out = -np.sort(-P, axis=1)
     if with_label:
         if labels is None:
             raise InputError("labels required when with_label is set")
         out = np.concatenate([out, nn.one_hot(np.asarray(labels), P.shape[1])], axis=1)
     return out
-
-
-def build_sr_metadata(
-    p_o: np.ndarray, p_c: np.ndarray, label: int | None, method: SrConstruction
-) -> np.ndarray:
-    """Paired-posterior feature vector for one sample (see the batch builder)."""
-    labels = None if label is None else [label]
-    return build_sr_metadata_batch(np.asarray(p_o)[None], np.asarray(p_c)[None], labels, method)[0]
 
 
 def build_sr_metadata_batch(P_o, P_c, labels, method: SrConstruction) -> np.ndarray:
@@ -155,7 +129,7 @@ def build_sr_metadata_batch(P_o, P_c, labels, method: SrConstruction) -> np.ndar
     P_o = np.asarray(P_o, dtype=float)
     P_c = np.asarray(P_c, dtype=float)
     if P_o.shape != P_c.shape or P_o.ndim != 2:
-        raise ShapeError("paired posteriors must have equal (n, C) or (C,) shapes")
+        raise ShapeError("paired posteriors must have equal (n, C) shapes")
     needs_label = method is not SrConstruction.SORTED_CONCAT
     if needs_label and labels is None:
         raise InputError(f"{method.value} requires the ground-truth label")
@@ -182,21 +156,8 @@ def shuffled_score_set(scores: AttackScoreSet, seed: int = 0) -> AttackScoreSet:
     )
 
 
-def export_metadata_csv(X: np.ndarray, y: np.ndarray, path):
-    """Dump meta-data as CSV, one row per sample, membership label last."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row, label in zip(np.asarray(X, dtype=float), y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
 # ---------------------------------------------------------------------------
 # attack runners
-
-
-def _strictly_after(score: float) -> float:
-    """Smallest float above ``score``; turns a strict rule into >=."""
-    return float(np.nextafter(score, np.inf))
 
 
 def run_nr_metric(
@@ -228,7 +189,7 @@ def run_nr_metric(
     )
     member = np.exp(-values(victim_model, splits.victim_train))
     nonmember = np.exp(-values(victim_model, splits.victim_test))
-    threshold = _strictly_after(float(np.exp(-tau)))
+    threshold = float(np.nextafter(np.exp(-tau), np.inf))
     return tau, AttackScoreSet(member, nonmember, decision_threshold=threshold)
 
 

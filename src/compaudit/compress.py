@@ -56,43 +56,31 @@ class CompressedModel:
         return check_constraint(self.model.weights, self.constraint)
 
 
-def prune_l1(model: nn.FcnModel, sparsity: float, scope: str = "global") -> CompressedModel:
+def prune_l1(model: nn.FcnModel, sparsity: float) -> CompressedModel:
     """Zero the fraction ``sparsity`` of smallest-magnitude weights.
 
-    Ranking is global across all weight matrices by default (``scope`` may
-    be "per_layer" instead). Exactly floor(sparsity * P) weights are
-    zeroed; biases are untouched. The keep-mask is recorded.
+    Ranking is global across all weight matrices. Exactly
+    floor(sparsity * P) weights are zeroed; biases are untouched. The
+    keep-mask is recorded.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise InputError("sparsity must be in [0, 1]")
-    if scope not in ("global", "per_layer"):
-        raise InputError("scope must be 'global' or 'per_layer'")
     for w in model.weights:
         if not np.all(np.isfinite(w)):
             raise InputError("model weights contain non-finite values")
     new = model.copy()
     masks = []
-    if scope == "global":
-        flat = np.concatenate([np.abs(w).ravel() for w in new.weights])
-        k = int(np.floor(sparsity * flat.size))
-        drop = np.zeros(flat.size, dtype=bool)
-        if k > 0:
-            drop[np.argsort(flat, kind="stable")[:k]] = True
-        offset = 0
-        for w in new.weights:
-            m = ~drop[offset : offset + w.size].reshape(w.shape)
-            w[~m] = 0.0
-            masks.append(m)
-            offset += w.size
-    else:
-        for w in new.weights:
-            k = int(np.floor(sparsity * w.size))
-            m = np.ones(w.size, dtype=bool)
-            if k > 0:
-                m[np.argsort(np.abs(w).ravel(), kind="stable")[:k]] = False
-            m = m.reshape(w.shape)
-            w[~m] = 0.0
-            masks.append(m)
+    flat = np.concatenate([np.abs(w).ravel() for w in new.weights])
+    k = int(np.floor(sparsity * flat.size))
+    drop = np.zeros(flat.size, dtype=bool)
+    if k > 0:
+        drop[np.argsort(flat, kind="stable")[:k]] = True
+    offset = 0
+    for w in new.weights:
+        m = ~drop[offset : offset + w.size].reshape(w.shape)
+        w[~m] = 0.0
+        masks.append(m)
+        offset += w.size
     constraint = CompressionConstraint(kind=PRUNE, prune_masks=masks)
     return CompressedModel(new, constraint, FAMILY_PRUNE, sparsity * 100.0)
 
@@ -101,7 +89,6 @@ def quantize_int8(
     model: nn.FcnModel,
     mode: str = "calibrate",
     train_set=None,
-    valid_set=None,
     config: nn.TrainConfig | None = None,
     dp: nn.DpConfig | None = None,
 ) -> CompressedModel:
@@ -123,7 +110,7 @@ def quantize_int8(
             kind=QUANT, quant_scales=[quant_scale(w) for w in model.weights]
         )
         if dp is None:
-            base = nn.train(model, train_set, valid_set, config, constraint=seed_constraint)
+            base = nn.train(model, train_set, None, config, constraint=seed_constraint)
         else:
             base = nn.train_dpsgd(model, train_set, config, dp, constraint=seed_constraint)
     new = base.copy()

@@ -235,9 +235,7 @@ def _grow_lockstep(X, y, ranks, values, group, hyper: RfHyper, n_sub) -> list[Tr
                 threshold.append(0.0)
                 left.append(-1)
                 right.append(-1)
-                # a child is empty when the midpoint of two adjacent floats
-                # rounds down to the lower one; its value is NaN
-                value.append(p / n if n else np.nan)
+                value.append(p / n)
                 if depth < hyper.max_depth and n >= 2 * hyper.min_leaf and 0 < p < n:
                     feats = group[t][0].permutation(d)[:n_sub]
                     popped.append((t, node, lo, hi, n, p, depth, feats))
@@ -349,7 +347,11 @@ def _split_step(X, ranks, values, buf, rows, w, wy, popped, min_leaf):
     pos = pos[pick]
     seg = key[pos] // n_ranks
     f = cand[split, seg - split * n_sub]
-    thr = (values[f, key[pos] - seg * n_ranks] + values[f, key[pos + 1] - seg * n_ranks]) / 2.0
+    lower, upper = values[f, key[pos] - seg * n_ranks], values[f, key[pos + 1] - seg * n_ranks]
+    # the midpoint of two adjacent floats can round down to the lower one,
+    # which would send every row right; the upper value splits them
+    thr = (lower + upper) / 2.0
+    thr = np.where(thr > lower, thr, upper)
     feat, cut = np.zeros(K, dtype=np.int32), np.full(K, np.inf)
     feat[split], cut[split] = f, thr
     go_left = X[r, feat[node_of]] < cut[node_of]

@@ -35,6 +35,14 @@ from .plan import ExperimentPlan
 
 SCHEMA_VERSION = 1
 STAGES = ("train", "compress", "attack", "evaluate", "report")
+# what each stage writes, as glob patterns under the output directory
+STAGE_OUTPUTS = {
+    "train": ["checkpoints/models"],
+    "compress": [f"checkpoints/models/rep*/{key}*.json" for key in ("prune", "int8", "cluster")],
+    "attack": ["checkpoints/scores", "failures.json"],
+    "evaluate": ["checkpoints/metrics"],
+    "report": ["report"],
+}
 
 # JSON Schema for report.json (draft 2020-12); bump SCHEMA_VERSION on change.
 REPORT_SCHEMA = {
@@ -166,14 +174,6 @@ def _intact(path: Path) -> bool:
     return True
 
 
-def _train_indices(split: data.SplitPlan, role: str) -> np.ndarray:
-    return split.victim_train if role == "victim" else split.shadow_train
-
-
-def _test_indices(split: data.SplitPlan, role: str) -> np.ndarray:
-    return split.victim_test if role == "victim" else split.shadow_test
-
-
 # ---------------------------------------------------------------------------
 # stage: train
 
@@ -192,10 +192,10 @@ def _train_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
         model = nn.init_fcn(layer_sizes, seed=derive_seed(plan.seed_base, rep, "init", role),
                             dropout_rates=dropout)
         cfg = _train_config(plan, seed=derive_seed(plan.seed_base, rep, "train", role))
-        train_xy = dataset.xy(_train_indices(split, role))
+        train_xy = dataset.xy(getattr(split, f"{role}_train"))
         if dp is None:
             valid_xy = (
-                dataset.xy(_test_indices(split, role))
+                dataset.xy(getattr(split, f"{role}_test"))
                 if cfg.early_stop_patience > 0 else None
             )
             trained = nn.train(model, train_xy, valid_xy, cfg)
@@ -231,7 +231,7 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
         if not missing:
             continue
         original = checkpoint.load_model(orig_path)
-        train_idx = _train_indices(split, role)
+        train_idx = getattr(split, f"{role}_train")
         if spec.finetune_fraction < 1.0:
             ft_plan = data.make_finetune_split(
                 train_idx, spec.finetune_fraction,
@@ -245,19 +245,14 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
             cfg = _train_config(plan, seed=seed, epochs=ft_epochs, lr=ft_lr)
             if key.startswith("prune"):
                 cm = compress.prune_l1(original, int(key[len("prune"):]) / 100.0)
-                if ft_epochs > 0:
-                    cm = compress.finetune_compressed(cm, train_xy, None, cfg, dp=dp)
             elif key.startswith("cluster"):
                 cm = compress.cluster_weights(original, int(key[len("cluster"):]), seed=seed)
-                if ft_epochs > 0:
-                    cm = compress.finetune_compressed(cm, train_xy, None, cfg, dp=dp)
-            else:  # int8
-                if spec.int8_mode == "qat" and ft_epochs > 0:
-                    cm = compress.quantize_int8(
-                        original, "qat", train_set=train_xy, config=cfg, dp=dp
-                    )
-                else:
-                    cm = compress.quantize_int8(original, "calibrate")
+            elif spec.int8_mode == "qat" and ft_epochs > 0:
+                cm = compress.quantize_int8(original, "qat", train_set=train_xy, config=cfg, dp=dp)
+            else:
+                cm = compress.quantize_int8(original, "calibrate")
+            if key != "int8" and ft_epochs > 0:  # quantization fine-tunes inside its qat mode
+                cm = compress.finetune_compressed(cm, train_xy, None, cfg, dp=dp)
             checkpoint.save_model(path, cm)
 
 
@@ -447,8 +442,8 @@ def _model_accuracies(plan: ExperimentPlan, out: Path, rep: int) -> dict:
                 continue
             loaded = checkpoint.load_model(path)
             model = loaded.model if isinstance(loaded, compress.CompressedModel) else loaded
-            tr = nn.evaluate_accuracy(model, *dataset.xy(_train_indices(split, role)))
-            te = nn.evaluate_accuracy(model, *dataset.xy(_test_indices(split, role)))
+            tr = nn.evaluate_accuracy(model, *dataset.xy(getattr(split, f"{role}_train")))
+            te = nn.evaluate_accuracy(model, *dataset.xy(getattr(split, f"{role}_test")))
             table[f"{key}_{role}"] = {
                 "train_accuracy": tr,
                 "test_accuracy": te,
@@ -589,19 +584,11 @@ def _run_per_rep(fn, plan: ExperimentPlan, out: Path, workers: int):
 
 
 def run_stage(plan: ExperimentPlan, out, stage: str, workers: int | None = None):
-    workers = plan.workers if workers is None else workers
-    out = Path(out)
-    if stage == "train":
-        return stage_train(plan, out, workers)
-    if stage == "compress":
-        return stage_compress(plan, out, workers)
-    if stage == "attack":
-        return stage_attack(plan, out, workers)
-    if stage == "evaluate":
-        return stage_evaluate(plan, out, workers)
-    if stage == "report":
-        return stage_report(plan, out, workers)
-    raise CompauditError(f"unknown stage {stage!r}")
+    if stage not in STAGES:
+        raise CompauditError(f"unknown stage {stage!r}")
+    # looked up at call time, so a replaced ``stage_<name>`` attribute is the one called
+    stage_fn = globals()[f"stage_{stage}"]
+    return stage_fn(plan, Path(out), plan.workers if workers is None else workers)
 
 
 def run_plan(plan: ExperimentPlan, out, workers: int | None = None) -> dict:
@@ -614,29 +601,9 @@ def run_plan(plan: ExperimentPlan, out, workers: int | None = None) -> dict:
 def clear_downstream(out, stage: str):
     """Delete the outputs of ``stage`` and everything after it."""
     out = Path(out)
-    start = STAGES.index(stage)
-    for s in STAGES[start:]:
-        if s == "train":
-            path = out / "checkpoints" / "models"
+    for s in STAGES[STAGES.index(stage):]:
+        for path in (p for pattern in STAGE_OUTPUTS[s] for p in out.glob(pattern)):
             if path.is_dir():
                 shutil.rmtree(path)
-        elif s == "compress":
-            models = out / "checkpoints" / "models"
-            if models.is_dir():
-                for p in models.glob("rep*/*.json"):
-                    if not p.name.startswith("original_"):
-                        p.unlink()
-        elif s == "attack":
-            for path in (out / "checkpoints" / "scores", out / "failures.json"):
-                if path.is_dir():
-                    shutil.rmtree(path)
-                elif path.exists():
-                    path.unlink()
-        elif s == "evaluate":
-            path = out / "checkpoints" / "metrics"
-            if path.is_dir():
-                shutil.rmtree(path)
-        elif s == "report":
-            path = out / "report"
-            if path.is_dir():
-                shutil.rmtree(path)
+            else:
+                path.unlink()

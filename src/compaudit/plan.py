@@ -138,7 +138,7 @@ class ExperimentPlan:
         elif not self.dataset.path:
             raise PlanError("csv dataset needs a path")
         for key in ("victim_train", "victim_test", "shadow_train", "shadow_test"):
-            if self.split.get(key, 0) < 1:
+            if self.split[key] < 1:
                 raise PlanError(f"split size {key} must be >= 1")
         for s in self.compression.prune:
             if not 0.0 <= s <= 1.0:
@@ -184,9 +184,9 @@ class ExperimentPlan:
             if not 0.0 <= cap <= 1.0:
                 raise PlanError(f"fpr cap {cap} outside [0, 1]")
         if self.dp is not None:
-            if self.dp.get("clip_norm", 0.0) <= 0:
+            if self.dp["clip_norm"] <= 0:
                 raise PlanError("dp clip_norm must be positive")
-            if self.dp.get("noise_multiplier", 0.0) < 0:
+            if self.dp["noise_multiplier"] < 0:
                 raise PlanError("dp noise_multiplier must be non-negative")
 
 
@@ -222,12 +222,12 @@ def parse_plan_text(text: str) -> ExperimentPlan:
             has_header=ds.getboolean("has_header", False),
         )
         sp = cp["split"]
-        split = {k: sp.getint(k) for k in ("victim_train", "victim_test", "shadow_train", "shadow_test")}
+        split = {k: int(sp[k]) for k in ("victim_train", "victim_test", "shadow_train", "shadow_test")}
         tr = cp["train"]
         train = {
-            "learning_rate": tr.getfloat("learning_rate"),
-            "batch_size": tr.getint("batch_size"),
-            "max_epochs": tr.getint("max_epochs"),
+            "learning_rate": float(tr["learning_rate"]),
+            "batch_size": int(tr["batch_size"]),
+            "max_epochs": int(tr["max_epochs"]),
             "hidden": _ints(tr.get("hidden", "256,128")),
             "dropout": tr.getfloat("dropout", 0.1),
             "l2_lambda": tr.getfloat("l2_lambda", 0.0),
@@ -238,8 +238,8 @@ def parse_plan_text(text: str) -> ExperimentPlan:
         if cp.has_section("dp"):
             d = cp["dp"]
             dp = {
-                "clip_norm": d.getfloat("clip_norm"),
-                "noise_multiplier": d.getfloat("noise_multiplier"),
+                "clip_norm": float(d["clip_norm"]),
+                "noise_multiplier": float(d["noise_multiplier"]),
                 "delta": d.getfloat("delta", 1e-5),
             }
         comp = CompressionSpec()
@@ -295,4 +295,8 @@ def parse_plan_text(text: str) -> ExperimentPlan:
 
 
 def parse_plan(path) -> ExperimentPlan:
-    return parse_plan_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise PlanError(f"cannot read plan: {exc}") from None
+    return parse_plan_text(text)

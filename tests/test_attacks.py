@@ -5,31 +5,28 @@ import pytest
 
 from compaudit import attacks, compress, data, meta, nn
 from compaudit.attacks import ADV1, ADV2, MrInput, SrConstruction
-from compaudit.errors import ConfigError, InputError, OrderingError
+from compaudit.errors import ConfigError, InputError, OrderingError, ShapeError
 from compaudit.metrics import AttackScoreSet, balanced_accuracy
 
 
 class TestMetricAttacks:
+    """Member iff metric < tau: a victim scores exp(-metric) against ``decision_threshold``."""
+
     def test_zero_loss_is_member(self):
-        P = np.array([[0.0, 1.0]])
-        assert attacks.nr_metric_loss(P, np.array([1]), 0.5).tolist() == [True]
+        ds, split, victim, shadow = tiny_world()
+        _, scores = attacks.run_nr_metric(ds, split, victim, shadow, metric="loss")
+        zero_loss = nn.cross_entropy_losses(np.array([[0.0, 1.0]]), np.array([1]))
+        assert zero_loss.tolist() == [0.0]
+        assert np.exp(-zero_loss[0]) >= scores.decision_threshold
 
-    def test_loss_equal_to_tau_is_nonmember(self):
-        # -ln(0.5) exactly at tau
-        P = np.array([[0.5, 0.5]])
-        tau = float(-np.log(0.5))
-        losses = nn.cross_entropy_losses(P, np.array([0]))
-        assert losses[0] == tau
-        assert attacks.nr_metric_loss(P, np.array([0]), tau).tolist() == [False]
-
-    def test_mixed_batch_matches_per_sample_rule(self):
-        rng = np.random.default_rng(0)
-        P = nn.softmax(rng.normal(size=(30, 5)))
-        y = rng.integers(0, 5, 30)
-        tau = 1.2
-        got = attacks.nr_metric_loss(P, y, tau)
-        expect = [nn.cross_entropy_loss(P[i], int(y[i])) < tau for i in range(30)]
-        assert got.tolist() == expect
+    @pytest.mark.parametrize("metric", ["loss", "mentr"])
+    def test_loss_equal_to_tau_is_nonmember(self, metric):
+        ds, split, victim, shadow = tiny_world()
+        tau, scores = attacks.run_nr_metric(ds, split, victim, shadow, metric=metric)
+        at_tau = float(np.exp(-tau))
+        tied = AttackScoreSet([at_tau], [at_tau], decision_threshold=scores.decision_threshold)
+        assert balanced_accuracy(tied) == 0.5  # both rows are called non-members
+        assert at_tau < scores.decision_threshold <= np.nextafter(at_tau, np.inf)
 
     def test_modified_entropy_one_hot_is_zero(self):
         P = np.array([[0.0, 1.0, 0.0]])
@@ -82,16 +79,16 @@ class TestCalibrateThreshold:
 
 class TestNrMetadata:
     def test_sort_without_label(self):
-        out = attacks.build_nr_metadata(np.array([0.1, 0.7, 0.2]), None, with_label=False)
-        assert out.tolist() == [0.7, 0.2, 0.1]
+        out = attacks.build_nr_metadata_batch(np.array([[0.1, 0.7, 0.2]]), None, with_label=False)
+        assert out.tolist() == [[0.7, 0.2, 0.1]]
 
     def test_sort_with_label(self):
-        out = attacks.build_nr_metadata(np.array([0.1, 0.7, 0.2]), 1, with_label=True)
-        assert out.tolist() == [0.7, 0.2, 0.1, 0.0, 1.0, 0.0]
+        out = attacks.build_nr_metadata_batch(np.array([[0.1, 0.7, 0.2]]), [1], with_label=True)
+        assert out.tolist() == [[0.7, 0.2, 0.1, 0.0, 1.0, 0.0]]
 
     def test_uniform_already_sorted(self):
-        p = np.full(4, 0.25)
-        out = attacks.build_nr_metadata(p, None, with_label=False)
+        p = np.full((1, 4), 0.25)
+        out = attacks.build_nr_metadata_batch(p, None, with_label=False)
         assert out.tolist() == p.tolist()
 
     def test_batch_matches_single(self):
@@ -100,62 +97,67 @@ class TestNrMetadata:
         y = rng.integers(0, 5, 8)
         batch = attacks.build_nr_metadata_batch(P, y, with_label=True)
         for i in range(8):
-            single = attacks.build_nr_metadata(P[i], int(y[i]), with_label=True)
-            assert np.array_equal(batch[i], single)
+            single = attacks.build_nr_metadata_batch(P[i : i + 1], y[i : i + 1], with_label=True)
+            assert np.array_equal(batch[i : i + 1], single)
+
+    def test_vector_rejected(self):
+        with pytest.raises(ShapeError):
+            attacks.build_nr_metadata_batch(np.array([0.1, 0.7, 0.2]), None, with_label=False)
 
 
 class TestSrMetadata:
     def test_method_one_hand_example(self):
-        out = attacks.build_sr_metadata(
-            np.array([0.1, 0.7, 0.2]),
-            np.array([0.2, 0.5, 0.3]),
+        out = attacks.build_sr_metadata_batch(
+            np.array([[0.1, 0.7, 0.2]]),
+            np.array([[0.2, 0.5, 0.3]]),
             None,
             SrConstruction.SORTED_CONCAT,
         )
-        assert np.allclose(out, [0.7, 0.2, 0.1, 0.5, 0.3, 0.2])
+        assert np.allclose(out, [[0.7, 0.2, 0.1, 0.5, 0.3, 0.2]])
 
     def test_method_two_appends_one_hot(self):
-        out = attacks.build_sr_metadata(
-            np.array([0.1, 0.7, 0.2]),
-            np.array([0.2, 0.5, 0.3]),
-            1,
+        out = attacks.build_sr_metadata_batch(
+            np.array([[0.1, 0.7, 0.2]]),
+            np.array([[0.2, 0.5, 0.3]]),
+            [1],
             SrConstruction.SORTED_CONCAT_LABEL,
         )
-        assert np.allclose(out, [0.7, 0.2, 0.1, 0.5, 0.3, 0.2, 0.0, 1.0, 0.0])
+        assert np.allclose(out, [[0.7, 0.2, 0.1, 0.5, 0.3, 0.2, 0.0, 1.0, 0.0]])
 
     def test_l2_distance_identical_is_zero(self):
-        p = np.array([0.4, 0.6])
-        out = attacks.build_sr_metadata(p, p, 0, SrConstruction.L2_DISTANCE_LABEL)
-        assert out[0] == 0.0
+        p = np.array([[0.4, 0.6]])
+        out = attacks.build_sr_metadata_batch(p, p, [0], SrConstruction.L2_DISTANCE_LABEL)
+        assert out[0, 0] == 0.0
 
     def test_l2_distance_orthogonal_one_hots(self):
-        out = attacks.build_sr_metadata(
-            np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1, SrConstruction.L2_DISTANCE_LABEL
+        out = attacks.build_sr_metadata_batch(
+            np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), [1], SrConstruction.L2_DISTANCE_LABEL
         )
-        assert out[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert out[0, 0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_feature_lengths(self):
         C = 5
-        p = np.full(C, 1.0 / C)
+        p = np.full((1, C), 1.0 / C)
         for method in SrConstruction:
-            label = None if method is SrConstruction.SORTED_CONCAT else 2
-            out = attacks.build_sr_metadata(p, p, label, method)
-            assert out.shape[0] == method.feature_length(C)
+            labels = None if method is SrConstruction.SORTED_CONCAT else [2]
+            out = attacks.build_sr_metadata_batch(p, p, labels, method)
+            assert out.shape == (1, method.feature_length(C))
 
     def test_first_half_sorted_descending(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            p_o = rng.dirichlet(np.ones(6))
-            p_c = rng.dirichlet(np.ones(6))
-            out = attacks.build_sr_metadata(p_o, p_c, None, SrConstruction.SORTED_CONCAT)
-            first = out[:6]
+            p_o = rng.dirichlet(np.ones(6), size=1)
+            p_c = rng.dirichlet(np.ones(6), size=1)
+            out = attacks.build_sr_metadata_batch(p_o, p_c, None, SrConstruction.SORTED_CONCAT)
+            first = out[0, :6]
             assert np.all(np.diff(first) <= 0)
 
     def test_permutation_consistency_round_trip(self):
         rng = np.random.default_rng(5)
         p_o = rng.dirichlet(np.ones(7))
         p_c = rng.dirichlet(np.ones(7))
-        out = attacks.build_sr_metadata(p_o, p_c, None, SrConstruction.SORTED_CONCAT)
+        out = attacks.build_sr_metadata_batch(p_o[None], p_c[None], None,
+                                              SrConstruction.SORTED_CONCAT)[0]
         pi = np.argsort(-p_o, kind="stable")
         inverse = np.argsort(pi)
         assert np.array_equal(out[:7][inverse], p_o)
@@ -189,7 +191,8 @@ class TestSrMetadata:
     def test_direct_concat_unsorted(self):
         p_o = np.array([0.1, 0.7, 0.2])
         p_c = np.array([0.2, 0.5, 0.3])
-        out = attacks.build_sr_metadata(p_o, p_c, 0, SrConstruction.DIRECT_CONCAT_LABEL)
+        out = attacks.build_sr_metadata_batch(p_o[None], p_c[None], [0],
+                                              SrConstruction.DIRECT_CONCAT_LABEL)[0]
         assert np.allclose(out[:3], p_o)
         assert np.allclose(out[3:6], p_c)
 
@@ -260,16 +263,6 @@ class TestRunners:
             balanced_accuracy(attacks.shuffled_score_set(scores, seed=s)) for s in range(5)
         ]
         assert 0.4 <= float(np.median(bas)) <= 0.6
-
-
-class TestMetadataExport:
-    def test_csv_rows_put_label_last(self, tmp_path):
-        X = np.array([[0.25, 0.5], [0.75, 0.125]])
-        path = tmp_path / "meta.csv"
-        attacks.export_metadata_csv(X, np.array([1, 0]), path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "0.25,0.5,1"
-        assert lines[1] == "0.75,0.125,0"
 
 
 class TestMrBuilders:

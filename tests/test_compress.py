@@ -61,12 +61,6 @@ class TestPrune:
         assert np.all(cm.model.weights[1] == 0.0)
         assert np.all(cm.model.weights[0] == 100.0)
 
-    def test_per_layer_scope(self):
-        m = two_layer_model(seed=2)
-        cm = compress.prune_l1(m, 0.5, scope="per_layer")
-        for w in cm.model.weights:
-            assert np.sum(w == 0.0) >= np.floor(0.5 * w.size)
-
     def test_degree_tags_order(self):
         m = two_layer_model()
         tags = [compress.prune_l1(m, s).degree_tag for s in (0.6, 0.7, 0.8, 0.9)]

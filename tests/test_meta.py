@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from compaudit import meta
+from compaudit import checkpoint, meta
 from compaudit.errors import DegenerateDataError, InputError, ShapeError
 
 
@@ -174,7 +174,10 @@ def _reference_split(cols, y, min_leaf):
     if not np.isfinite(col_best[j]):
         return None
     i = rows[j]
-    return j, float((xs[i, j] + xs[i + 1, j]) / 2.0)
+    lower, upper = xs[i, j], xs[i + 1, j]
+    # a midpoint that rounds down to the lower value would not separate them
+    thr = (lower + upper) / 2.0
+    return j, float(thr if thr > lower else upper)
 
 
 def _reference_tree(X, y, rows, rng, hyper, n_sub):
@@ -275,7 +278,6 @@ class TestLockstepGrowth:
         ("constant", True, 1, 12),
         ("adjacent", False, 1, 4),
     ])
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
     def test_trees_match_the_one_at_a_time_grower(self, kind, bootstrap, min_leaf, max_depth):
         X, y = growth_data(kind)
         hyper = meta.RfHyper(n_trees=15, max_depth=max_depth, min_leaf=min_leaf,
@@ -287,10 +289,23 @@ class TestLockstepGrowth:
             assert dead_ends > 0  # searched nodes whose candidates were all constant
         if max_depth == 2:  # some tree reaches the cap: it has a node at depth 2
             assert 3 < max(t.value.size for t in clf.trees) <= 7
-        if kind == "adjacent":  # the split sends every row right and leaves an empty left leaf
-            assert np.isnan(clf.trees[0].value).any()
+        if kind == "adjacent":  # the upper value splits the two floats: no empty leaf
+            assert not any(np.isnan(t.value).any() for t in clf.trees)
+            assert np.nextafter(1.0, 2.0) in clf.trees[0].threshold
         if bootstrap:
             assert np.array_equal(meta.out_of_bag_proba(clf, X), meta.out_of_bag_proba(ref, X))
+
+    def test_adjacent_floats_split_without_an_empty_leaf(self, tmp_path):
+        # (1 + 2^-52 + 1) / 2 rounds down to 1, so a midpoint threshold sends every row right
+        X = np.array([[1.0], [1.0 + 2**-52], [1.0 + 2**-52]])
+        clf = meta.fit("rf", X, [0, 1, 1], hyper=meta.RfHyper(n_trees=1, bootstrap=False))
+        tree = clf.trees[0]
+        assert tree.threshold[0] == 1.0 + 2**-52
+        assert tree.value.tolist() == [2 / 3, 0.0, 1.0]
+        assert meta.score_proba(clf, np.array([[0.5], [1.0], [2.0]])).tolist() == [0.0, 0.0, 1.0]
+        checkpoint.save_classifier(tmp_path / "rf.json", clf)
+        loaded = checkpoint.load_classifier(tmp_path / "rf.json")
+        assert loaded.trees[0].value.tolist() == tree.value.tolist()
 
     def test_groups_of_uneven_size(self, monkeypatch):
         groups = []

@@ -1,12 +1,17 @@
 """Pipeline stage, determinism, and CLI tests."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import compaudit
 from compaudit import cli, pipeline
-from compaudit.errors import DependencyError
+from compaudit.errors import CompauditError, DependencyError
 from compaudit.plan import parse_plan_text
 from tests.test_plan import GOOD
 
@@ -157,6 +162,65 @@ class TestStages:
         assert report_bytes(seq) == report_bytes(par)
 
 
+def output_files(out):
+    return {p.relative_to(out) for p in out.rglob("*") if p.is_file()}
+
+
+def stage_of(rel):
+    """The stage that writes an output file, by the layout of the pipeline docstring."""
+    if rel.parts[0] == "report":
+        return "report"
+    if rel.name == "failures.json" or rel.parts[1] == "scores":
+        return "attack"
+    if rel.parts[1] == "metrics":
+        return "evaluate"
+    return "train" if rel.name.startswith("original_") else "compress"
+
+
+class TestStageTables:
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        """A finished run with every compression family and a failures file."""
+        families = "prune = 0.7\nint8 = true\nclusters = 4"
+        plan = parse_plan_text(MINIMAL.replace("prune = 0.7", families))
+        out = tmp_path_factory.mktemp("clean") / "out"
+        pipeline.run_plan(plan, out)
+        (out / "failures.json").write_text("[]", encoding="utf-8")
+        return plan, out
+
+    @pytest.mark.parametrize("stage", pipeline.STAGES)
+    def test_clear_downstream_keeps_earlier_stages(self, clean, tmp_path, stage):
+        plan, clean_out = clean
+        files = output_files(clean_out)
+        assert {stage_of(f) for f in files} == set(pipeline.STAGES)
+        assert {f.name for f in files} >= {"int8_victim.json", "cluster4_shadow.json"}
+        out = tmp_path / "out"
+        shutil.copytree(clean_out, out)
+        pipeline.clear_downstream(out, stage)
+        earlier = pipeline.STAGES[: pipeline.STAGES.index(stage)]
+        assert output_files(out) == {f for f in files if stage_of(f) in earlier}
+        pipeline.run_plan(plan, out)
+        report = [f for f in files if stage_of(f) == "report"]
+        assert all((out / f).read_bytes() == (clean_out / f).read_bytes() for f in report)
+        assert {f for f in output_files(out) if stage_of(f) == "report"} == set(report)
+
+    def test_run_stage_calls_the_module_attribute(self, tmp_path, monkeypatch):
+        calls = []
+
+        def traced(plan, out, workers):
+            calls.append((out, workers))
+            return "evaluated"
+
+        monkeypatch.setattr(pipeline, "stage_evaluate", traced)
+        plan = parse_plan_text(MINIMAL)
+        assert pipeline.run_stage(plan, str(tmp_path), "evaluate", workers=3) == "evaluated"
+        assert calls == [(tmp_path, 3)]
+
+    def test_unknown_stage_rejected(self, tmp_path):
+        with pytest.raises(CompauditError, match="unknown stage"):
+            pipeline.run_stage(parse_plan_text(MINIMAL), tmp_path, "deploy")
+
+
 class TestReportSchema:
     def test_report_validates_against_published_schema(self, tmp_path):
         import jsonschema
@@ -259,6 +323,23 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        ("shadow_test = 40\n", ""),
+        ("learning_rate = 0.2\n", ""),
+        ("[compression]", "[dp]\nnoise_multiplier = 0.5\n\n[compression]"),
+        None,
+    ], ids=["split", "train", "dp", "no_file"])
+    def test_plan_error_is_one_line_exit_two(self, tmp_path, capsys, edit):
+        plan_path = tmp_path / "plan.ini"
+        if edit is not None:
+            assert edit[0] in MINIMAL
+            plan_path.write_text(MINIMAL.replace(*edit), encoding="utf-8")
+        code = cli.main(["--plan", str(plan_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_dependency_error_exit_two(self, tmp_path):
         plan_path = tmp_path / "plan.ini"
         plan_path.write_text(MINIMAL, encoding="utf-8")
@@ -319,3 +400,25 @@ class TestCli:
         cli.main(["--plan", str(plan_path), "--out", str(out), "--seed-base", "55"])
         report = json.loads((out / "report" / "report.json").read_text())
         assert report["seed_base"] == 55
+
+
+class TestBlasThreads:
+    """Importing the package pins BLAS to one thread before numpy loads."""
+
+    THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def import_package(self, **env_vars):
+        env = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
+        src = str(Path(compaudit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = ("import json, os, sys; import compaudit; print(json.dumps(["
+                "'numpy' in sys.modules, [os.environ.get(k) for k in %r]]))" % (self.THREAD_VARS,))
+        run = subprocess.run([sys.executable, "-c", code], env=env | env_vars,
+                             capture_output=True, text=True, check=True)
+        return json.loads(run.stdout)
+
+    def test_unset_variables_become_one_without_loading_numpy(self):
+        assert self.import_package() == [False, ["1", "1", "1"]]
+
+    def test_a_user_setting_wins(self):
+        assert self.import_package(OPENBLAS_NUM_THREADS="2") == [False, ["2", "1", "1"]]
