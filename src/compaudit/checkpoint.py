@@ -43,16 +43,20 @@ VERSION = 1
 def write_json(payload, path):
     """Write ``payload`` as sorted-key compact JSON, replacing ``path`` atomically.
 
-    The bytes go to ``<name>.tmp``, which no ``*.json`` glob matches, and
-    replace the target only when complete, so an interrupted write never
-    leaves a truncated file under the final name.
+    The text comes from ``json.dumps``, whose C encoder gives the same
+    bytes as ``json.dump`` with the same arguments. A payload that does
+    not encode raises before any file is opened. The bytes go to
+    ``<name>.tmp``, which no ``*.json`` glob matches, and replace the
+    target only when complete, so an interrupted write never leaves a
+    truncated file under the final name.
     """
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -30,8 +30,12 @@ from .errors import DegenerateDataError, InputError, ShapeError
 _SIG_CLIP = 1e-12
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid(z, out=None):
+    """1 / (1 + exp(-z)), into ``out`` when it is given; ``out`` may be ``z``."""
+    out = np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
@@ -92,11 +96,26 @@ def lr_loss_and_gradients(weights, bias, X, y, l2: float = 0.0):
 
 
 def _fit_lr(X, y, hyper: LrHyper, seed: int) -> LogisticMeta:
-    w = np.zeros(X.shape[1])
+    """Gradient descent on ``lr_loss_and_gradients``' gradients, without its loss.
+
+    Each step does that function's operations in the same order, in
+    buffers allocated once, so the weights are the same bits.
+    """
+    n, d = X.shape
+    y = y.astype(float)
+    w = np.zeros(d)
     b = 0.0
+    p, gw, l2w = np.empty(n), np.empty(d), np.empty(d)
     for _ in range(hyper.epochs):
-        _, gw, gb = lr_loss_and_gradients(w, b, X, y, hyper.l2)
-        w = w - hyper.learning_rate * gw
+        np.matmul(X, w, out=p)
+        p += b
+        _sigmoid(p, out=p)
+        p -= y
+        p /= n  # err
+        np.matmul(X.T, p, out=gw)
+        gw += np.multiply(hyper.l2, w, out=l2w)
+        gb = float(np.sum(p))
+        w -= np.multiply(hyper.learning_rate, gw, out=gw)
         b = b - hyper.learning_rate * gb
     return LogisticMeta(w, b, seed)
 
@@ -438,6 +457,14 @@ def mlp_loss_and_gradients(W1, b1, w2, b2, X, y, l2: float = 0.0, hidden_mask=No
 
 
 def _fit_mlp(X, y, hyper: MlpHyper, seed: int) -> MlpMeta:
+    """Gradient descent on ``mlp_loss_and_gradients``' gradients, without its loss.
+
+    Each step draws the same random numbers and does that function's
+    operations in buffers allocated once, so the parameters are the same
+    bits. One difference in form: the dropout mask and the ReLU mask are
+    multiplied into one factor before ``outer(err, w2)`` is scaled. That is
+    exact, because the ReLU factor is 0 or 1.
+    """
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     if hyper.standardize:
         mean = X.mean(axis=0)
@@ -447,24 +474,53 @@ def _fit_mlp(X, y, hyper: MlpHyper, seed: int) -> MlpMeta:
         mean = np.zeros(X.shape[1])
         std = np.ones(X.shape[1])
     Xs = (X - mean) / std
-    d = X.shape[1]
-    W1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(hyper.hidden, d))
-    b1 = np.zeros(hyper.hidden)
-    w2 = rng.normal(0.0, np.sqrt(1.0 / hyper.hidden), size=hyper.hidden)
+    n, d = X.shape
+    H = hyper.hidden
+    W1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(H, d))
+    b1 = np.zeros(H)
+    w2 = rng.normal(0.0, np.sqrt(1.0 / H), size=H)
     b2 = 0.0
+    y = y.astype(float)
+    lr, l2 = hyper.learning_rate, hyper.l2
+    z1, h, dh, mask = (np.empty((n, H)) for _ in range(4))
+    Xe = np.empty((n, d)) if hyper.input_dropout > 0.0 else Xs
+    p, gw2, gb1, l2w2 = np.empty(n), np.empty(H), np.empty(H), np.empty(H)
+    gW1, l2W1 = np.empty((H, d)), np.empty((H, d))
     for _ in range(hyper.epochs):
-        mask = None
         if hyper.dropout > 0.0:
-            mask = (rng.random((X.shape[0], hyper.hidden)) >= hyper.dropout) / (1.0 - hyper.dropout)
-        Xe = Xs
+            rng.random(out=mask)
+            np.greater_equal(mask, hyper.dropout, out=mask)
+            mask /= 1.0 - hyper.dropout
         if hyper.input_dropout > 0.0:
-            keep = (rng.random(Xs.shape) >= hyper.input_dropout) / (1.0 - hyper.input_dropout)
-            Xe = Xs * keep
-        _, gW1, gb1, gw2, gb2 = mlp_loss_and_gradients(W1, b1, w2, b2, Xe, y, hyper.l2, mask)
-        W1 = W1 - hyper.learning_rate * gW1
-        b1 = b1 - hyper.learning_rate * gb1
-        w2 = w2 - hyper.learning_rate * gw2
-        b2 = b2 - hyper.learning_rate * gb2
+            rng.random(out=Xe)
+            np.greater_equal(Xe, hyper.input_dropout, out=Xe)
+            Xe /= 1.0 - hyper.input_dropout
+            Xe *= Xs
+        np.matmul(Xe, W1.T, out=z1)
+        z1 += b1
+        np.maximum(z1, 0.0, out=h)
+        if hyper.dropout > 0.0:
+            h *= mask
+        np.matmul(h, w2, out=p)
+        p += b2
+        _sigmoid(p, out=p)
+        p -= y
+        p /= n  # err
+        np.matmul(h.T, p, out=gw2)
+        gw2 += np.multiply(l2, w2, out=l2w2)
+        gb2 = float(np.sum(p))
+        np.multiply(p[:, None], w2[None, :], out=dh)  # np.outer(err, w2)
+        np.greater(z1, 0.0, out=z1)  # the ReLU factor, 0 or 1
+        if hyper.dropout > 0.0:
+            z1 *= mask
+        dh *= z1
+        np.matmul(dh.T, Xe, out=gW1)
+        gW1 += np.multiply(l2, W1, out=l2W1)
+        np.sum(dh, axis=0, out=gb1)
+        W1 -= np.multiply(lr, gW1, out=gW1)
+        b1 -= np.multiply(lr, gb1, out=gb1)
+        w2 -= np.multiply(lr, gw2, out=gw2)
+        b2 = b2 - lr * gb2
     return MlpMeta(W1, b1, w2, b2, seed, mean=mean, std=std)
 
 

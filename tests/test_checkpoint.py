@@ -150,13 +150,31 @@ class TestAtomicWrite:
             checkpoint.write_json({"ok": 1, "bad": object()}, tmp_path / "x.json")
         assert list(tmp_path.glob("*.json")) == []
 
-    def test_failed_dump_keeps_the_previous_file(self, tmp_path):
+    @pytest.mark.parametrize("bad", [object(), {1, 2}], ids=["object", "set"])
+    def test_failed_dump_keeps_the_previous_file(self, tmp_path, bad):
         p = tmp_path / "x.json"
         checkpoint.write_json({"a": 1}, p)
+        before = p.read_bytes()
         with pytest.raises(TypeError):
-            checkpoint.write_json({"a": object()}, p)
-        assert checkpoint.read_json(p) == {"a": 1}
+            checkpoint.write_json({"a": bad}, p)
+        assert p.read_bytes() == before
         assert sorted(q.name for q in tmp_path.iterdir()) == ["x.json"]
+
+    def test_bytes_equal_json_dump(self, tmp_path):
+        payload = {
+            "z": {"b": [1, -0.0, 5e-324, 1e308], "a": {"nested": [True, False, None]}},
+            "big": [2**64 + 1, -(2**70)],
+            "text": "caf\u00e9 \u6f22\u5b57 \U0001f600",
+            "floats": [0.1, 1 / 3, -2.5e-17, 123456789.0],
+            "empty": {},
+        }
+        p = tmp_path / "x.json"
+        checkpoint.write_json(payload, p)
+        ref = tmp_path / "ref.json"
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        assert p.read_bytes() == ref.read_bytes()
+        assert checkpoint.read_json(p) == payload
 
     def test_malformed_json_is_checkpoint_error(self, tmp_path):
         p = tmp_path / "x.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from compaudit import compress, constraints, nn
+from compaudit.errors import InputError
 
 
 def model_from_weights(weight_rows, out_dim=2):
@@ -134,6 +135,82 @@ class TestKmeans:
         x = np.array([0.3, -0.4, 1.2, 2.0, -2.0])
         cent, assign, _ = compress.kmeans_1d(x, 5, seed=0)
         assert np.allclose(np.sort(cent[assign]), np.sort(x))
+
+
+def reference_kmeans(values, n_clusters, seed=0, max_iter=100, tol=1e-8):
+    """The n x k Lloyd loop: ``np.argmin`` over every value-center distance."""
+    x = np.asarray(values, dtype=float).ravel()
+    k = min(n_clusters, np.unique(x).size)
+    rng = np.random.default_rng(seed)
+    centers = np.empty(k)
+    centers[0] = x[rng.integers(x.size)]
+    d2 = (x - centers[0]) ** 2
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j:] = centers[0]
+            break
+        centers[j] = x[rng.choice(x.size, p=d2 / total)]
+        d2 = np.minimum(d2, (x - centers[j]) ** 2)
+    history = []
+    prev = np.inf
+    for _ in range(max_iter):
+        assign = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
+        counts = np.bincount(assign, minlength=k)
+        sums = np.bincount(assign, weights=x, minlength=k)
+        nonempty = counts > 0
+        centers[nonempty] = sums[nonempty] / counts[nonempty]
+        inertia = float(np.sum((x - centers[assign]) ** 2))
+        history.append(inertia)
+        if prev - inertia <= tol:
+            break
+        prev = inertia
+    assign = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
+    return centers, assign, history
+
+
+def tie_heavy(kind):
+    rng = np.random.default_rng(4)
+    if kind == "grid":  # many values exactly halfway between two centers
+        return np.round(rng.normal(size=3000) * 2) / 4
+    if kind == "few_distinct":
+        return rng.choice([-0.5, 0.0, 0.25, 1.0], size=200)
+    if kind == "underflow":  # distinct, but every squared gap is 0: duplicate centers
+        return rng.choice([0.0, 1e-200, 2e-200, 3e-200], size=50)
+    return rng.normal(size=4096) * 0.05  # weights
+
+
+class TestKmeansMatchesReference:
+    @pytest.mark.parametrize("kind, k", [
+        ("grid", 8), ("grid", 3), ("few_distinct", 12), ("underflow", 4), ("weights", 1),
+        ("weights", 8), ("grid", 1),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_centers_assignment_and_history(self, kind, k, seed):
+        x = tie_heavy(kind)
+        cent, assign, hist = compress.kmeans_1d(x, k, seed=seed)
+        ref_cent, ref_assign, ref_hist = reference_kmeans(x, k, seed=seed)
+        assert np.array_equal(cent, ref_cent)
+        assert np.array_equal(assign, ref_assign) and assign.dtype == ref_assign.dtype
+        assert hist == ref_hist
+
+    def test_underflow_case_takes_the_duplicate_center_branch(self):
+        cent, assign, _ = compress.kmeans_1d(tie_heavy("underflow"), 4, seed=0)
+        assert cent.size == 4 and cent[2] == cent[3]
+        # of two tied duplicates only the lower index ever takes a value
+        assert 3 not in assign.tolist()
+
+    def test_exact_midpoint_goes_to_the_lower_index(self):
+        centers = np.array([1.0, 0.0, 2.0])
+        x = np.array([0.5, 1.5, 1.0, -3.0])
+        buffers = (np.empty(4, dtype=np.int64), np.empty(4), np.empty(4), np.empty(4, dtype=np.int64))
+        assign = compress._nearest(x, centers, *buffers)
+        assert assign.tolist() == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("bad", [[], [0.1, np.nan, 0.3], [np.inf, 0.0]])
+    def test_empty_or_non_finite_is_input_error(self, bad):
+        with pytest.raises(InputError):
+            compress.kmeans_1d(np.array(bad), 2)
 
 
 class TestClusterWeights:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from compaudit import checkpoint, meta
+from compaudit import attacks, checkpoint, meta
 from compaudit.errors import DegenerateDataError, InputError, ShapeError
 
 
@@ -378,6 +378,110 @@ class TestMlp:
         a = meta.fit("mlp", X, y, seed=9)
         b = meta.fit("mlp", X, y, seed=9)
         assert np.array_equal(a.W1, b.W1) and np.array_equal(a.w2, b.w2)
+
+
+def reference_fit_lr(X, y, hyper, seed):
+    """Gradient descent on ``lr_loss_and_gradients``, a fresh array every step."""
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for _ in range(hyper.epochs):
+        _, gw, gb = meta.lr_loss_and_gradients(w, b, X, y, hyper.l2)
+        w = w - hyper.learning_rate * gw
+        b = b - hyper.learning_rate * gb
+    return w, b
+
+
+def reference_fit_mlp(X, y, hyper, seed):
+    """Gradient descent on ``mlp_loss_and_gradients``, a fresh array every step."""
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    if hyper.standardize:
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+        std[std < 1e-12] = 1.0
+    else:
+        mean = np.zeros(X.shape[1])
+        std = np.ones(X.shape[1])
+    Xs = (X - mean) / std
+    d = X.shape[1]
+    W1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(hyper.hidden, d))
+    b1 = np.zeros(hyper.hidden)
+    w2 = rng.normal(0.0, np.sqrt(1.0 / hyper.hidden), size=hyper.hidden)
+    b2 = 0.0
+    for _ in range(hyper.epochs):
+        mask = None
+        if hyper.dropout > 0.0:
+            mask = (rng.random((X.shape[0], hyper.hidden)) >= hyper.dropout) / (1.0 - hyper.dropout)
+        Xe = Xs
+        if hyper.input_dropout > 0.0:
+            keep = (rng.random(Xs.shape) >= hyper.input_dropout) / (1.0 - hyper.input_dropout)
+            Xe = Xs * keep
+        _, gW1, gb1, gw2, gb2 = meta.mlp_loss_and_gradients(W1, b1, w2, b2, Xe, y, hyper.l2, mask)
+        W1 = W1 - hyper.learning_rate * gW1
+        b1 = b1 - hyper.learning_rate * gb1
+        w2 = w2 - hyper.learning_rate * gw2
+        b2 = b2 - hyper.learning_rate * gb2
+    return W1, b1, w2, b2
+
+
+def stacker_data(n, d, seed=0):
+    """Rows like a stacker's: a few informative columns, the rest noise."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n)
+    X = rng.normal(size=(n, d))
+    X[:, : min(d, 3)] += 0.8 * y[:, None]
+    return X, y
+
+
+class TestFitsMatchReference:
+    """The in-place fits give the reference loops' parameters bit for bit."""
+
+    @pytest.mark.parametrize("n, d, hyper", [
+        (240, 10, attacks.MR_MLP_DEFAULTS[attacks.ADV1]),
+        (240, 31, attacks.MR_MLP_DEFAULTS[attacks.ADV2]),
+        (150, 7, meta.MlpHyper(epochs=300)),
+        # 1 / (1 - 0.3) is not a power of two, so folding the masks must be exact
+        (150, 7, meta.MlpHyper(epochs=300, dropout=0.3, input_dropout=0.3)),
+    ], ids=["adv1", "adv2", "no_dropout", "dropout_0.3"])
+    def test_mlp(self, n, d, hyper):
+        X, y = stacker_data(n, d)
+        clf = meta.fit("mlp", X, y, hyper, seed=11)
+        W1, b1, w2, b2 = reference_fit_mlp(X, y, hyper, 11)
+        assert np.array_equal(clf.W1, W1) and np.array_equal(clf.b1, b1)
+        assert np.array_equal(clf.w2, w2) and clf.b2 == b2
+
+    @pytest.mark.parametrize("n, d, l2", [(600, 30, 1e-4), (50, 3, 0.0)])
+    def test_lr(self, n, d, l2):
+        X, y = stacker_data(n, d, seed=1)
+        hyper = meta.LrHyper(l2=l2)
+        clf = meta.fit("lr", X, y, hyper, seed=0)
+        w, b = reference_fit_lr(X, y, hyper, 0)
+        assert np.array_equal(clf.weights, w) and clf.bias == b
+
+    def test_masked_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(10, 3))
+        y = rng.integers(0, 2, 10)
+        W1 = rng.normal(size=(4, 3)) * 0.5
+        b1 = rng.normal(size=4) * 0.1
+        w2 = rng.normal(size=4) * 0.5
+        b2 = 0.05
+        l2 = 0.01
+        mask = (rng.random((10, 4)) >= 0.3) / 0.7
+        assert 0 < np.count_nonzero(mask) < mask.size
+        grads = meta.mlp_loss_and_gradients(W1, b1, w2, b2, X, y, l2, mask)[1:]
+        params = [W1, b1, w2, np.array(b2)]
+        h = 1e-5
+
+        def loss(ps):
+            return meta.mlp_loss_and_gradients(*ps[:3], float(ps[3]), X, y, l2, mask)[0]
+
+        for k, (param, grad) in enumerate(zip(params, grads)):
+            for idx, g in np.ndenumerate(np.asarray(grad)):
+                up = [q.copy() for q in params]
+                dn = [q.copy() for q in params]
+                up[k][idx] += h
+                dn[k][idx] -= h
+                assert g == pytest.approx((loss(up) - loss(dn)) / (2 * h), rel=1e-4, abs=1e-8)
 
 
 class TestContracts:

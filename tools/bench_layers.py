@@ -1,0 +1,135 @@
+"""Layer microbenchmarks: the median time of the audit's hottest layers.
+
+    PYTHONPATH=src python3 tools/bench_layers.py --side change --out BENCH.json
+
+``compaudit`` comes from ``PYTHONPATH``, so the same script times another
+checkout when ``PYTHONPATH`` names that checkout's ``src``. The figures go
+under ``sides.<side>`` of the output file; the other sides already in it
+are kept, and where a ``parent`` and a ``change`` side are both present the
+file also holds each layer's parent-over-change ratio of medians.
+
+Each layer runs once as a warm-up and then ``REPEATS`` (5) times. The warm-up
+matters: in a fresh process the C library maps and unmaps each temporary of
+a few hundred kilobytes, which makes the first fit much slower than the
+same fit inside an audit. A second run for a side already in the file adds
+its samples to that side's, and a layer's figure is the median of all of
+them, so runs of two checkouts can alternate on a machine whose speed
+drifts. The layers are
+
+- an adversary-1 stacker fit (400 x 10) and an adversary-2 stacker fit
+  (400 x 93), with the multi-reference attack's MLP hyperparameters;
+- a logistic-regression fit (600 x 30, default hyperparameters);
+- ``kmeans_1d`` on 32,768 values with k = 8;
+- checkpoint save and load of a 64-256-128-10 model and of its 8-cluster
+  version.
+
+The environment record is taken after ``import compaudit``, which sets the
+BLAS thread variables, so it names the thread count the layers ran with.
+"""
+
+import compaudit  # first: it pins the BLAS threads before numpy loads
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from compaudit import attacks, checkpoint, compress, meta, nn
+
+REPEATS = 5
+
+
+def environment() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {k: blas[k] for k in ("name", "version", "openblas configuration") if k in blas}
+    except (TypeError, KeyError):
+        blas = None  # the build paths in the full record name no property of the run
+    package = Path(compaudit.__file__).resolve().parent
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpu_count": os.cpu_count(),
+        "thread_vars": {k: v for k, v in sorted(os.environ.items()) if "THREAD" in k},
+        "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines())
+                         for p in sorted(package.rglob("*.py"))),
+    }
+
+
+def stacker_rows(n, d, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n)
+    X = rng.normal(size=(n, d))
+    X[:, :3] += 0.8 * y[:, None]
+    return X, y
+
+
+def layers(tmp: Path) -> dict:
+    """Each layer's name and a call that runs it once."""
+    X1, y1 = stacker_rows(400, 10, 1)
+    X2, y2 = stacker_rows(400, 93, 2)
+    X3, y3 = stacker_rows(600, 30, 3)
+    weights = np.random.default_rng(4).normal(0.0, 0.05, 32768)
+    model = nn.init_fcn([64, 256, 128, 10], seed=5)
+    clustered = compress.cluster_weights(model, 8, seed=6)
+    paths = {"model": tmp / "model.json", "cluster": tmp / "cluster.json"}
+    checkpoint.save_model(paths["model"], model)
+    checkpoint.save_model(paths["cluster"], clustered)
+    return {
+        "mlp_fit_adv1_s": lambda: meta.fit("mlp", X1, y1, attacks.MR_MLP_DEFAULTS[attacks.ADV1], 7),
+        "mlp_fit_adv2_s": lambda: meta.fit("mlp", X2, y2, attacks.MR_MLP_DEFAULTS[attacks.ADV2], 8),
+        "lr_fit_s": lambda: meta.fit("lr", X3, y3, seed=9),
+        "kmeans_1d_s": lambda: compress.kmeans_1d(weights, 8, seed=10),
+        "save_model_s": lambda: checkpoint.save_model(paths["model"], model),
+        "load_model_s": lambda: checkpoint.load_model(paths["model"]),
+        "save_cluster_s": lambda: checkpoint.save_model(paths["cluster"], clustered),
+        "load_cluster_s": lambda: checkpoint.load_model(paths["cluster"]),
+    }
+
+
+def measure(run) -> list:
+    run()
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        run()
+        samples.append(time.perf_counter() - start)
+    return samples
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--side", required=True, help="name of this checkout, e.g. parent")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
+    sides = bench.setdefault("sides", {})
+    side = sides.setdefault(args.side, {"runs": 0, "layers": {}})
+    side["environment"] = environment()
+    side["runs"] += 1
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, run in layers(Path(tmp)).items():
+            fig = side["layers"].setdefault(name, {"samples": []})
+            fig["samples"] += measure(run)
+            fig["median"] = statistics.median(fig["samples"])
+            print(f"{name}: {fig['median']:.4f} s over {len(fig['samples'])}", file=sys.stderr)
+    if "parent" in sides and "change" in sides:
+        bench["parent_over_change"] = {
+            name: sides["parent"]["layers"][name]["median"] / fig["median"]
+            for name, fig in sides["change"]["layers"].items()
+            if name in sides["parent"]["layers"]
+        }
+    args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
