@@ -23,7 +23,6 @@ carry over monotonically, and their score set's ``decision_threshold``
 makes a metric equal to the calibrated tau a non-member.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,13 +41,6 @@ class SrConstruction(Enum):
     SORTED_CONCAT_LABEL = "sorted_concat_label"  # method 2: ... || one_hot(y)
     DIRECT_CONCAT_LABEL = "direct_concat_label"  # p_o || p_c || one_hot(y), unsorted
     L2_DISTANCE_LABEL = "l2_distance_label"      # ||p_o - p_c||_2 || one_hot(y)
-
-    def feature_length(self, class_count: int) -> int:
-        if self is SrConstruction.SORTED_CONCAT:
-            return 2 * class_count
-        if self in (SrConstruction.SORTED_CONCAT_LABEL, SrConstruction.DIRECT_CONCAT_LABEL):
-            return 3 * class_count
-        return class_count + 1
 
 
 def _posteriors(model, X: np.ndarray) -> np.ndarray:
@@ -320,39 +312,6 @@ MR_SR_RF = meta.RfHyper(n_trees=300)
 MR_STACKERS = {ADV1: 3, ADV2: 1}
 
 
-@dataclass
-class MrInput:
-    """One side's view for multi-reference feature building.
-
-    ``compressed_models`` must be sorted ascending by (family, degree);
-    ties are allowed so a duplicated model can be studied as a control.
-    Adversary 1 additionally carries the original model, whose loss joins
-    the loss vector, and one SR classifier per compressed model; adversary
-    2 sees compressed models only, and its posterior blocks are aligned to
-    the first (least-compressed) model's descending class order.
-    """
-
-    adversary: str
-    compressed_models: list[CompressedModel]
-    original_model: nn.FcnModel | None = None
-    sr_classifiers: list | None = None
-    sr_construction: SrConstruction = SrConstruction.SORTED_CONCAT_LABEL
-
-    def __post_init__(self):
-        if self.adversary not in (ADV1, ADV2):
-            raise ConfigError(f"unknown adversary {self.adversary!r}")
-        if len(self.compressed_models) < 2:
-            raise ConfigError("multi-reference attack needs at least 2 compressed models")
-        _check_ascending(self.compressed_models)
-        if self.adversary == ADV1:
-            if self.original_model is None:
-                raise ConfigError("adversary 1 requires the original model")
-            if self.sr_classifiers is None or len(self.sr_classifiers) != len(
-                self.compressed_models
-            ):
-                raise ConfigError("adversary 1 needs one SR classifier per compressed model")
-
-
 def _check_ascending(models: list[CompressedModel]):
     keys = [m.order_key for m in models]
     for a, b in zip(keys, keys[1:]):
@@ -378,23 +337,34 @@ def mr_loss_concat(
     return np.stack(cols, axis=1)
 
 
-def mr_posterior_concat(X: np.ndarray, labels: np.ndarray, mr_input: MrInput) -> np.ndarray:
-    """Adversary 1: per-level SR probability pairs [1-p, p], concatenated.
+def mr_posterior_concat(
+    X: np.ndarray,
+    labels: np.ndarray,
+    compressed_models: list[CompressedModel],
+    original_model=None,
+    sr_classifiers=None,
+    sr_construction: SrConstruction = SrConstruction.SORTED_CONCAT_LABEL,
+) -> np.ndarray:
+    """Per-level posterior features over models in ascending compression order.
 
-    Adversary 2: compressed posteriors, concatenated in ascending order,
-    each block permuted by the first (least-compressed) model's descending
-    order, so a column means the same class rank in every row, as in the
-    sorted SR constructions.
+    Adversary 1, who passes the original model and one SR classifier per
+    compressed model: per-level SR probability pairs [1-p, p],
+    concatenated. Adversary 2, who sees compressed models only: their
+    posteriors, concatenated, each block permuted by the first
+    (least-compressed) model's descending order, so a column means the
+    same class rank in every row, as in the sorted SR constructions. Ties
+    in order are allowed, so a duplicated model can serve as a control.
     """
-    if mr_input.adversary == ADV2:
-        blocks = [_posteriors(m, X) for m in mr_input.compressed_models]
+    _check_ascending(compressed_models)
+    if original_model is None:
+        blocks = [_posteriors(m, X) for m in compressed_models]
         pi = np.argsort(-blocks[0], axis=1, kind="stable")
         return np.concatenate([np.take_along_axis(B, pi, axis=1) for B in blocks], axis=1)
-    P_o = _posteriors(mr_input.original_model, X)
+    P_o = _posteriors(original_model, X)
     blocks = []
-    for cm, clf in zip(mr_input.compressed_models, mr_input.sr_classifiers):
-        feats = build_sr_metadata_batch(P_o, _posteriors(cm, X), labels, mr_input.sr_construction)
-        blocks.append(_proba_pair(np.asarray(meta.score_proba(clf, feats), dtype=float)))
+    for cm, clf in zip(compressed_models, sr_classifiers, strict=True):
+        feats = build_sr_metadata_batch(P_o, _posteriors(cm, X), labels, sr_construction)
+        blocks.append(_proba_pair(meta.score_proba(clf, feats)))
     return np.concatenate(blocks, axis=1)
 
 
@@ -439,6 +409,8 @@ def run_mr(
         raise ConfigError(f"unknown adversary {adversary!r}")
     if len(victim_compressed) != len(shadow_compressed):
         raise ConfigError("victim and shadow compressed model lists must align")
+    if len(victim_compressed) < 2:
+        raise ConfigError("multi-reference attack needs at least 2 compressed models")
     victim_compressed = [victim_compressed[i] for i in _stable_order(victim_compressed)]
     shadow_compressed = [shadow_compressed[i] for i in _stable_order(shadow_compressed)]
     for v, s in zip(victim_compressed, shadow_compressed):
@@ -475,11 +447,10 @@ def run_mr(
                 sr_construction, sr_clf_kind, sr_hyper, seeds,
             )
         shadow_loss = mr_loss_concat(Xs, ys, shadow_compressed, shadow_original)
-        victim_input = MrInput(ADV1, victim_compressed, victim_original, victim_clfs, sr_construction)
     else:
-        shadow_post = mr_posterior_concat(Xs, ys, MrInput(ADV2, shadow_compressed))
+        shadow_post = mr_posterior_concat(Xs, ys, shadow_compressed)
         shadow_loss = mr_loss_concat(Xs, ys, shadow_compressed)
-        victim_input = MrInput(ADV2, victim_compressed)
+        victim_original = victim_clfs = None  # adversary 2 never queries the original model
 
     shadow_feats = np.concatenate([shadow_post, shadow_loss], axis=1)
     F, y = _meta_records(
@@ -491,8 +462,11 @@ def run_mr(
 
     def victim_scores(idx):
         X, y = dataset.xy(idx)
-        loss = mr_loss_concat(X, y, victim_compressed, victim_input.original_model)
-        feats = np.concatenate([mr_posterior_concat(X, y, victim_input), loss], axis=1)
+        post = mr_posterior_concat(
+            X, y, victim_compressed, victim_original, victim_clfs, sr_construction
+        )
+        loss = mr_loss_concat(X, y, victim_compressed, victim_original)
+        feats = np.concatenate([post, loss], axis=1)
         return np.mean([meta.score_proba(m, feats) for m in stackers], axis=0)
 
     member = victim_scores(splits.victim_train)

@@ -9,7 +9,7 @@ derives from the split plan, never from model behavior.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class TabularDataset:
     features: np.ndarray
     labels: np.ndarray
     class_count: int
-    provenance: str = ""
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -58,7 +57,6 @@ class CsvSchema:
     label_column: int = -1
     has_header: bool = False
     class_count: int | None = None
-    delimiter: str = ","
 
 
 def load_csv(path, schema: CsvSchema | None = None) -> TabularDataset:
@@ -71,7 +69,7 @@ def load_csv(path, schema: CsvSchema | None = None) -> TabularDataset:
     rows, labels = [], []
     width = None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+        reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if schema.has_header and lineno == 1:
                 continue
@@ -109,7 +107,7 @@ def load_csv(path, schema: CsvSchema | None = None) -> TabularDataset:
     features = np.asarray(rows, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     class_count = schema.class_count if schema.class_count is not None else int(labels.max()) + 1
-    return TabularDataset(features, labels, class_count, provenance=str(path))
+    return TabularDataset(features, labels, class_count)
 
 
 def synth_generate(
@@ -118,17 +116,13 @@ def synth_generate(
     class_count: int,
     cluster_spread: float,
     seed: int = 0,
-    label_noise: float = 0.0,
 ) -> TabularDataset:
     """Gaussian class clusters with controllable difficulty.
 
     Class means are standard-normal draws; samples scatter around their
     class mean with standard deviation ``cluster_spread``. Small spreads
     give a separable problem, large spreads (with few samples) raise the
-    train-test gap of a fitted model. ``label_noise`` relabels that
-    fraction of rows to a uniformly random other class, which caps how
-    fast a model can memorize and fattens the loss tail of hard examples.
-    Deterministic per seed.
+    train-test gap of a fitted model. Deterministic per seed.
     """
     if n < class_count:
         raise InputError("need at least one sample per class")
@@ -136,18 +130,11 @@ def synth_generate(
         raise InputError("need at least one feature")
     if cluster_spread < 0:
         raise InputError("cluster_spread must be non-negative")
-    if not 0.0 <= label_noise < 1.0:
-        raise InputError("label_noise must be in [0, 1)")
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     means = rng.normal(0.0, 1.0, size=(class_count, d))
     labels = np.arange(n, dtype=np.int64) % class_count
     features = means[labels] + cluster_spread * rng.normal(0.0, 1.0, size=(n, d))
-    if label_noise > 0.0 and class_count > 1:
-        flips = rng.random(n) < label_noise
-        offsets = rng.integers(1, class_count, size=n)
-        labels = labels.copy()
-        labels[flips] = (labels[flips] + offsets[flips]) % class_count
-    return TabularDataset(features, labels, class_count, provenance="synth")
+    return TabularDataset(features, labels, class_count)
 
 
 @dataclass
@@ -213,28 +200,12 @@ def make_split(dataset: TabularDataset, sizes: SplitSizes, seed: int = 0) -> Spl
     return plan
 
 
-@dataclass
-class FinetunePlan:
-    """Partition of the victim train set into fine-tuned and held-out rows."""
-
-    fraction: float
-    fine_indices: np.ndarray
-    held_indices: np.ndarray
-    seed: int = 0
-
-
-def make_finetune_split(victim_train: np.ndarray, fraction: float, seed: int = 0) -> FinetunePlan:
-    """Select a fraction of the victim train rows for fine-tuning.
-
-    The union of the two returned index sets is exactly ``victim_train``.
-    """
+def make_finetune_split(victim_train: np.ndarray, fraction: float, seed: int = 0) -> np.ndarray:
+    """The sorted victim train rows that fine-tuning uses, a ``fraction`` of them."""
     if not 0.0 < fraction <= 1.0:
         raise InputError("fraction must be in (0, 1]")
     victim_train = np.asarray(victim_train, dtype=np.int64)
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     perm = rng.permutation(victim_train.shape[0])
-    k = int(round(fraction * victim_train.shape[0]))
-    k = max(1, k)
-    fine = np.sort(victim_train[perm[:k]])
-    held = np.sort(victim_train[perm[k:]])
-    return FinetunePlan(fraction, fine, held, seed)
+    k = max(1, int(round(fraction * victim_train.shape[0])))
+    return np.sort(victim_train[perm[:k]])

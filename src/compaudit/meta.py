@@ -16,8 +16,8 @@ feature matrix X (one row per sample) and membership labels y in {0, 1}:
 - "mlp": one-hidden-layer perceptron (ReLU, sigmoid output) trained with
   full-batch gradient descent on binary cross-entropy.
 
-``score_proba`` always lands in [0, 1]; ``predict`` thresholds at exactly
-0.5 with ties resolved to member.
+``score_proba`` takes a matrix and gives one probability in [0, 1] per
+row.
 """
 
 from dataclasses import dataclass
@@ -81,8 +81,7 @@ class LogisticMeta:
 
     def score_proba(self, features: np.ndarray):
         X = _check_features(features, self.weights.shape[0])
-        p = _sigmoid(X @ self.weights + self.bias)
-        return float(p[0]) if X.shape[0] == 1 and np.asarray(features).ndim == 1 else p
+        return _sigmoid(X @ self.weights + self.bias)
 
 
 def lr_loss_and_gradients(weights, bias, X, y, l2: float = 0.0):
@@ -164,8 +163,7 @@ class RandomForestMeta:
         acc = np.zeros(X.shape[0])
         for tree in self.trees:
             acc += _leaf_values(tree, X)
-        p = acc / len(self.trees)
-        return float(p[0]) if X.shape[0] == 1 and np.asarray(features).ndim == 1 else p
+        return acc / len(self.trees)
 
 
 def _tree_seeds(seed: int, n_trees: int):
@@ -428,8 +426,7 @@ class MlpMeta:
         X = _check_features(features, self.W1.shape[1])
         X = (X - self.mean) / self.std
         h = np.maximum(X @ self.W1.T + self.b1, 0.0)
-        p = _sigmoid(h @ self.w2 + self.b2)
-        return float(p[0]) if X.shape[0] == 1 and np.asarray(features).ndim == 1 else p
+        return _sigmoid(h @ self.w2 + self.b2)
 
 
 def mlp_loss_and_gradients(W1, b1, w2, b2, X, y, l2: float = 0.0, hidden_mask=None):
@@ -554,23 +551,13 @@ def fit(kind: str, X: np.ndarray, y: np.ndarray, hyper=None, seed: int = 0):
     return _FITTERS[kind](X, y, hyper, int(seed) & 0xFFFFFFFFFFFFFFFF)
 
 
-def score_proba(clf, features: np.ndarray):
-    """Membership probability in [0, 1] for one vector or a batch."""
+def score_proba(clf, features: np.ndarray) -> np.ndarray:
+    """Membership probabilities in [0, 1], one per row of ``features``."""
     return clf.score_proba(features)
-
-
-def predict(clf, features: np.ndarray):
-    """Membership decision at threshold 0.5; ties go to member."""
-    p = score_proba(clf, features)
-    if np.isscalar(p):
-        return p >= 0.5
-    return np.asarray(p) >= 0.5
 
 
 def _check_features(features, expected: int) -> np.ndarray:
     X = np.asarray(features, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(1, -1)
     if X.ndim != 2 or X.shape[1] != expected:
-        raise ShapeError(f"feature length {X.shape[-1]} != {expected}")
+        raise ShapeError(f"features of shape {X.shape}, expected (n, {expected})")
     return X

@@ -132,30 +132,19 @@ def build_dataset(plan: ExperimentPlan) -> data.TabularDataset:
 
 
 def build_split(plan: ExperimentPlan, dataset: data.TabularDataset, rep: int) -> data.SplitPlan:
-    sizes = data.SplitSizes(**plan.split)
-    return data.make_split(dataset, sizes, seed=derive_seed(plan.seed_base, rep, "split"))
+    return data.make_split(dataset, plan.split, seed=derive_seed(plan.seed_base, rep, "split"))
 
 
 def _train_config(plan: ExperimentPlan, seed: int, epochs=None, lr=None) -> nn.TrainConfig:
     t = plan.train
     return nn.TrainConfig(
-        learning_rate=t["learning_rate"] if lr is None else lr,
-        batch_size=t["batch_size"],
-        max_epochs=t["max_epochs"] if epochs is None else epochs,
-        l2_lambda=t["l2_lambda"],
-        early_stop_patience=t["early_stop_patience"],
-        momentum=t["momentum"],
+        learning_rate=t.learning_rate if lr is None else lr,
+        batch_size=t.batch_size,
+        max_epochs=t.max_epochs if epochs is None else epochs,
+        l2_lambda=t.l2_lambda,
+        early_stop_patience=t.early_stop_patience,
+        momentum=t.momentum,
         seed=seed,
-    )
-
-
-def _dp_config(plan: ExperimentPlan) -> nn.DpConfig | None:
-    if plan.dp is None:
-        return None
-    return nn.DpConfig(
-        clip_norm=plan.dp["clip_norm"],
-        noise_multiplier=plan.dp["noise_multiplier"],
-        delta=plan.dp["delta"],
     )
 
 
@@ -182,25 +171,24 @@ def _train_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
     out = Path(out_str)
     dataset = build_dataset(plan)
     split = build_split(plan, dataset, rep)
-    dp = _dp_config(plan)
     for role in ("victim", "shadow"):
         path = _model_dir(out, rep) / f"original_{role}.json"
         if path.exists():
             continue
-        layer_sizes = [dataset.n_features] + plan.train["hidden"] + [dataset.class_count]
-        dropout = [plan.train["dropout"]] * (len(layer_sizes) - 2)
+        layer_sizes = [dataset.n_features] + plan.train.hidden + [dataset.class_count]
+        dropout = [plan.train.dropout] * (len(layer_sizes) - 2)
         model = nn.init_fcn(layer_sizes, seed=derive_seed(plan.seed_base, rep, "init", role),
                             dropout_rates=dropout)
         cfg = _train_config(plan, seed=derive_seed(plan.seed_base, rep, "train", role))
         train_xy = dataset.xy(getattr(split, f"{role}_train"))
-        if dp is None:
+        if plan.dp is None:
             valid_xy = (
                 dataset.xy(getattr(split, f"{role}_test"))
                 if cfg.early_stop_patience > 0 else None
             )
             trained = nn.train(model, train_xy, valid_xy, cfg)
         else:
-            trained = nn.train_dpsgd(model, train_xy, cfg, dp)
+            trained = nn.train_dpsgd(model, train_xy, cfg, plan.dp)
         checkpoint.save_model(path, trained)
 
 
@@ -216,7 +204,6 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
     out = Path(out_str)
     dataset = build_dataset(plan)
     split = build_split(plan, dataset, rep)
-    dp = _dp_config(plan)
     spec = plan.compression
     ft_epochs = spec.finetune_epochs
     ft_lr = spec.finetune_learning_rate
@@ -233,11 +220,10 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
         original = checkpoint.load_model(orig_path)
         train_idx = getattr(split, f"{role}_train")
         if spec.finetune_fraction < 1.0:
-            ft_plan = data.make_finetune_split(
+            train_idx = data.make_finetune_split(
                 train_idx, spec.finetune_fraction,
                 seed=derive_seed(plan.seed_base, rep, "finetune", role),
             )
-            train_idx = ft_plan.fine_indices
         train_xy = dataset.xy(train_idx)
         for key in missing:
             path = _model_dir(out, rep) / f"{key}_{role}.json"
@@ -248,11 +234,11 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
             elif key.startswith("cluster"):
                 cm = compress.cluster_weights(original, int(key[len("cluster"):]), seed=seed)
             elif spec.int8_mode == "qat" and ft_epochs > 0:
-                cm = compress.quantize_int8(original, "qat", train_set=train_xy, config=cfg, dp=dp)
+                cm = compress.quantize_int8(original, "qat", train_set=train_xy, config=cfg, dp=plan.dp)
             else:
                 cm = compress.quantize_int8(original, "calibrate")
             if key != "int8" and ft_epochs > 0:  # quantization fine-tunes inside its qat mode
-                cm = compress.finetune_compressed(cm, train_xy, None, cfg, dp=dp)
+                cm = compress.finetune_compressed(cm, train_xy, None, cfg, dp=plan.dp)
             checkpoint.save_model(path, cm)
 
 

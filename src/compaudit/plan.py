@@ -29,17 +29,29 @@ Sections and keys (defaults in parentheses)::
     [metrics] fpr_caps (0.001)
     [run]     repetitions (5), seed_base (0), workers (1)
 
+Each section parses straight into the dataclass that uses it: the fields
+above, with their types and defaults, are the dataclass fields, so a key
+the plan leaves out keeps its field's default. ``plan.split`` is a
+``data.SplitSizes``, ``plan.train`` a ``TrainSpec`` (``plan.train.hidden``),
+``plan.dp`` an ``nn.DpConfig`` or None (``plan.dp.noise_multiplier``),
+and ``[metrics]`` and ``[run]`` fill ``ExperimentPlan``'s own fields.
+
 Target keys are "original", "prune<percent>", "int8", and
 "cluster<count>"; attack selections may reference only declared targets.
+A prune sparsity must be a whole percent (0.85, not 0.857), and no two
+targets may share a key.
 """
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin
 
+from . import data, nn
 from .attacks import SrConstruction
-from .errors import PlanError
+from .errors import InputError, PlanError
 
 NR_ATTACKS = ("loss", "mentr", "posterior_lr", "posterior_rf", "posterior_label_lr", "posterior_label_rf")
 SR_CLASSIFIERS = ("lr", "rf", "mlp")
@@ -48,7 +60,7 @@ MR_ADVERSARIES = ("adv1", "adv2")
 
 @dataclass
 class DatasetSpec:
-    kind: str
+    kind: str = "synth"
     samples: int = 0
     features: int = 0
     classes: int = 0
@@ -57,6 +69,18 @@ class DatasetSpec:
     path: str = ""
     label_column: int = -1
     has_header: bool = False
+
+
+@dataclass
+class TrainSpec:
+    learning_rate: float
+    batch_size: int
+    max_epochs: int
+    hidden: list[int] = field(default_factory=lambda: [256, 128])
+    dropout: float = 0.1
+    l2_lambda: float = 0.0
+    early_stop_patience: int = 0
+    momentum: float = 0.0
 
 
 @dataclass
@@ -93,15 +117,16 @@ class AttackSpec:
 @dataclass
 class ExperimentPlan:
     dataset: DatasetSpec
-    split: dict
-    train: dict
-    dp: dict | None
+    split: data.SplitSizes
+    train: TrainSpec
+    dp: nn.DpConfig | None
     compression: CompressionSpec
     attacks: AttackSpec
-    fpr_caps: list[float]
-    repetitions: int
-    seed_base: int
-    workers: int
+    # fields read from the section their metadata names
+    fpr_caps: list[float] = field(default_factory=lambda: [0.001], metadata={"section": "metrics"})
+    repetitions: int = field(default=5, metadata={"section": "run"})
+    seed_base: int = field(default=0, metadata={"section": "run"})
+    workers: int = field(default=1, metadata={"section": "run"})
     raw_text: str = ""
 
     def plan_hash(self) -> str:
@@ -130,76 +155,95 @@ class ExperimentPlan:
             raise PlanError("repetitions must be >= 1")
         if self.workers < 1:
             raise PlanError("workers must be >= 1")
-        if self.dataset.kind not in ("synth", "csv"):
-            raise PlanError(f"unknown dataset kind {self.dataset.kind!r}")
+        keys = self.compression_keys()
+        declared = set(keys)
+        sr_methods = [c.value for c in SrConstruction]
+        not_declared = "{!r} is not in the compression matrix"
+        # (message naming the bad value, the values chosen, the values allowed)
+        for message, chosen, allowed in (
+            ("unknown dataset kind {!r}", [self.dataset.kind], ("synth", "csv")),
+            ("unknown int8 mode {!r}", [self.compression.int8_mode], ("qat", "calibrate")),
+            ("unknown nr attack {!r}", self.attacks.nr, NR_ATTACKS),
+            ("nr target " + not_declared, self.nr_target_keys(), declared | {"original"}),
+            ("unknown sr method {!r}", self.attacks.sr_methods, sr_methods),
+            ("unknown sr classifier {!r}", self.attacks.sr_classifiers, SR_CLASSIFIERS),
+            ("sr target " + not_declared, self.sr_target_keys(), declared),
+            ("unknown mr adversary {!r}", self.attacks.mr, MR_ADVERSARIES),
+            ("mr model " + not_declared, self.mr_model_keys() if self.attacks.mr else [], declared),
+            ("unknown mr sr method {!r}", [self.attacks.mr_sr_method], sr_methods),
+            ("unknown mr sr classifier {!r}", [self.attacks.mr_sr_classifier], SR_CLASSIFIERS),
+        ):
+            for value in chosen:
+                if value not in allowed:
+                    raise PlanError(message.format(value))
         if self.dataset.kind == "synth":
             if min(self.dataset.samples, self.dataset.features, self.dataset.classes) < 1:
                 raise PlanError("synth dataset needs samples, features, and classes")
         elif not self.dataset.path:
             raise PlanError("csv dataset needs a path")
-        for key in ("victim_train", "victim_test", "shadow_train", "shadow_test"):
-            if self.split[key] < 1:
+        for key, size in vars(self.split).items():
+            if size < 1:
                 raise PlanError(f"split size {key} must be >= 1")
         for s in self.compression.prune:
             if not 0.0 <= s <= 1.0:
                 raise PlanError(f"prune sparsity {s} outside [0, 1]")
+            if s != round(s * 100) / 100:
+                raise PlanError(f"prune sparsity {s} is not a whole percent")
         for n in self.compression.clusters:
             if n < 1:
                 raise PlanError(f"cluster count {n} must be >= 1")
-        if self.compression.int8_mode not in ("qat", "calibrate"):
-            raise PlanError(f"unknown int8 mode {self.compression.int8_mode!r}")
+        for key in keys:
+            if keys.count(key) > 1:
+                raise PlanError(f"compression target {key!r} is requested twice")
         if not 0.0 < self.compression.finetune_fraction <= 1.0:
             raise PlanError("finetune_fraction must be in (0, 1]")
-        declared = set(self.compression_keys())
-        for a in self.attacks.nr:
-            if a not in NR_ATTACKS:
-                raise PlanError(f"unknown nr attack {a!r}")
-        for t in self.nr_target_keys():
-            if t != "original" and t not in declared:
-                raise PlanError(f"nr target {t!r} is not in the compression matrix")
-        for m in self.attacks.sr_methods:
-            if m not in {c.value for c in SrConstruction}:
-                raise PlanError(f"unknown sr method {m!r}")
-        for c in self.attacks.sr_classifiers:
-            if c not in SR_CLASSIFIERS:
-                raise PlanError(f"unknown sr classifier {c!r}")
-        for t in self.sr_target_keys():
-            if t not in declared:
-                raise PlanError(f"sr target {t!r} is not in the compression matrix")
-        for adv in self.attacks.mr:
-            if adv not in MR_ADVERSARIES:
-                raise PlanError(f"unknown mr adversary {adv!r}")
-        if self.attacks.mr:
-            models = self.mr_model_keys()
-            for t in models:
-                if t not in declared:
-                    raise PlanError(f"mr model {t!r} is not in the compression matrix")
-            if len(models) < 2:
-                raise PlanError("mr needs at least 2 compressed models")
-        if self.attacks.mr_sr_method not in {c.value for c in SrConstruction}:
-            raise PlanError(f"unknown mr sr method {self.attacks.mr_sr_method!r}")
-        if self.attacks.mr_sr_classifier not in SR_CLASSIFIERS:
-            raise PlanError(f"unknown mr sr classifier {self.attacks.mr_sr_classifier!r}")
+        if self.attacks.mr and len(self.mr_model_keys()) < 2:
+            raise PlanError("mr needs at least 2 compressed models")
         for cap in self.fpr_caps:
             if not 0.0 <= cap <= 1.0:
                 raise PlanError(f"fpr cap {cap} outside [0, 1]")
-        if self.dp is not None:
-            if self.dp["clip_norm"] <= 0:
-                raise PlanError("dp clip_norm must be positive")
-            if self.dp["noise_multiplier"] < 0:
-                raise PlanError("dp noise_multiplier must be non-negative")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _convert(hint, text: str):
+    """``text`` as a value of the type ``hint`` names; a list is comma-separated."""
+    if hint is bool:
+        if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"not a boolean: {text!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    if get_origin(hint) is list:
+        return [_convert(get_args(hint)[0], tok.strip()) for tok in text.split(",") if tok.strip()]
+    if isinstance(hint, UnionType):  # ``float | None``: an empty value is None
+        return _convert(get_args(hint)[0], text) if text else None
+    return hint(text)
 
 
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _values(cp, flds, section: str | None = None) -> dict:
+    """The plan's value of each field it sets, converted by the field's type hint.
+
+    A field is read from ``section``, or else from the section its metadata
+    names. A key the plan leaves out is left out, so the field keeps its
+    default; a field without a default must be set.
+    """
+    values = {}
+    for f in flds:
+        name = section or f.metadata["section"]
+        sec = cp[name] if cp.has_section(name) else {}
+        if f.name in sec:
+            try:
+                values[f.name] = _convert(f.type, sec[f.name])
+            except ValueError as exc:
+                raise PlanError(f"plan field [{name}] {f.name} is mistyped: {exc}") from None
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise PlanError(f"plan section [{name}] is missing the required key {f.name!r}")
+    return values
 
 
-def _strs(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _section(cp, name: str, cls):
+    """Section ``name`` as a ``cls`` dataclass; its own checks become plan errors."""
+    try:
+        return cls(**_values(cp, fields(cls), name))
+    except InputError as exc:
+        raise PlanError(f"{name} {exc}") from None
 
 
 def parse_plan_text(text: str) -> ExperimentPlan:
@@ -208,88 +252,16 @@ def parse_plan_text(text: str) -> ExperimentPlan:
         cp.read_string(text)
     except configparser.Error as exc:
         raise PlanError(f"plan does not parse: {exc}") from None
-    try:
-        ds = cp["dataset"]
-        dataset = DatasetSpec(
-            kind=ds.get("kind", "synth"),
-            samples=ds.getint("samples", 0),
-            features=ds.getint("features", 0),
-            classes=ds.getint("classes", 0),
-            spread=ds.getfloat("spread", 1.0),
-            seed=ds.getint("seed", 0),
-            path=ds.get("path", ""),
-            label_column=ds.getint("label_column", -1),
-            has_header=ds.getboolean("has_header", False),
-        )
-        sp = cp["split"]
-        split = {k: int(sp[k]) for k in ("victim_train", "victim_test", "shadow_train", "shadow_test")}
-        tr = cp["train"]
-        train = {
-            "learning_rate": float(tr["learning_rate"]),
-            "batch_size": int(tr["batch_size"]),
-            "max_epochs": int(tr["max_epochs"]),
-            "hidden": _ints(tr.get("hidden", "256,128")),
-            "dropout": tr.getfloat("dropout", 0.1),
-            "l2_lambda": tr.getfloat("l2_lambda", 0.0),
-            "early_stop_patience": tr.getint("early_stop_patience", 0),
-            "momentum": tr.getfloat("momentum", 0.0),
-        }
-        dp = None
-        if cp.has_section("dp"):
-            d = cp["dp"]
-            dp = {
-                "clip_norm": float(d["clip_norm"]),
-                "noise_multiplier": float(d["noise_multiplier"]),
-                "delta": d.getfloat("delta", 1e-5),
-            }
-        comp = CompressionSpec()
-        if cp.has_section("compression"):
-            c = cp["compression"]
-            comp = CompressionSpec(
-                prune=_floats(c.get("prune", "")),
-                clusters=_ints(c.get("clusters", "")),
-                int8=c.getboolean("int8", False),
-                int8_mode=c.get("int8_mode", "qat"),
-                finetune_epochs=c.getint("finetune_epochs", 10),
-                finetune_learning_rate=(
-                    c.getfloat("finetune_learning_rate")
-                    if c.get("finetune_learning_rate", "") else None
-                ),
-                finetune_fraction=c.getfloat("finetune_fraction", 1.0),
-            )
-        att = AttackSpec()
-        if cp.has_section("attacks"):
-            a = cp["attacks"]
-            att = AttackSpec(
-                nr=_strs(a.get("nr", "")),
-                nr_targets=_strs(a.get("nr_targets", "all")),
-                sr_methods=_strs(a.get("sr_methods", "")),
-                sr_classifiers=_strs(a.get("sr_classifiers", "rf")),
-                sr_targets=_strs(a.get("sr_targets", "all")),
-                mr=_strs(a.get("mr", "")),
-                mr_models=_strs(a.get("mr_models", "all")),
-                mr_sr_method=a.get("mr_sr_method", "sorted_concat_label"),
-                mr_sr_classifier=a.get("mr_sr_classifier", "rf"),
-            )
-        caps = [0.001]
-        if cp.has_section("metrics"):
-            caps = _floats(cp["metrics"].get("fpr_caps", "0.001"))
-        run = cp["run"] if cp.has_section("run") else {}
-        plan = ExperimentPlan(
-            dataset=dataset,
-            split=split,
-            train=train,
-            dp=dp,
-            compression=comp,
-            attacks=att,
-            fpr_caps=caps,
-            repetitions=int(run.get("repetitions", 5)),
-            seed_base=int(run.get("seed_base", 0)),
-            workers=int(run.get("workers", 1)),
-            raw_text=text,
-        )
-    except (KeyError, ValueError, configparser.Error) as exc:
-        raise PlanError(f"plan is missing or mistypes a field: {exc}") from None
+    plan = ExperimentPlan(
+        dataset=_section(cp, "dataset", DatasetSpec),
+        split=_section(cp, "split", data.SplitSizes),
+        train=_section(cp, "train", TrainSpec),
+        dp=_section(cp, "dp", nn.DpConfig) if cp.has_section("dp") else None,
+        compression=_section(cp, "compression", CompressionSpec),
+        attacks=_section(cp, "attacks", AttackSpec),
+        raw_text=text,
+        **_values(cp, [f for f in fields(ExperimentPlan) if f.metadata]),
+    )
     plan.validate()
     return plan
 

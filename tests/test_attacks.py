@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from compaudit import attacks, compress, data, meta, nn
-from compaudit.attacks import ADV1, ADV2, MrInput, SrConstruction
+from compaudit.attacks import ADV1, ADV2, SrConstruction
 from compaudit.errors import ConfigError, InputError, OrderingError, ShapeError
 from compaudit.metrics import AttackScoreSet, balanced_accuracy
 
@@ -105,6 +105,15 @@ class TestNrMetadata:
             attacks.build_nr_metadata_batch(np.array([0.1, 0.7, 0.2]), None, with_label=False)
 
 
+# feature width of each SR construction for C classes
+SR_WIDTHS = {
+    SrConstruction.SORTED_CONCAT: lambda C: 2 * C,
+    SrConstruction.SORTED_CONCAT_LABEL: lambda C: 3 * C,
+    SrConstruction.DIRECT_CONCAT_LABEL: lambda C: 3 * C,
+    SrConstruction.L2_DISTANCE_LABEL: lambda C: C + 1,
+}
+
+
 class TestSrMetadata:
     def test_method_one_hand_example(self):
         out = attacks.build_sr_metadata_batch(
@@ -141,7 +150,7 @@ class TestSrMetadata:
         for method in SrConstruction:
             labels = None if method is SrConstruction.SORTED_CONCAT else [2]
             out = attacks.build_sr_metadata_batch(p, p, labels, method)
-            assert out.shape == (1, method.feature_length(C))
+            assert out.shape == (1, SR_WIDTHS[method](C))
 
     def test_first_half_sorted_descending(self):
         rng = np.random.default_rng(4)
@@ -185,7 +194,7 @@ class TestSrMetadata:
 
         expect = np.stack([reference(P_o[i], P_c[i], y[i]) for i in range(300)])
         got = attacks.build_sr_metadata_batch(P_o, P_c, y, method)
-        assert got.shape == (300, method.feature_length(C))
+        assert got.shape == (300, SR_WIDTHS[method](C))
         assert np.array_equal(got, expect)
 
     def test_direct_concat_unsorted(self):
@@ -273,8 +282,7 @@ class TestMrBuilders:
         ds, split, victim, _ = tiny_world()
         models = self._pruned_pair(victim, [0.6, 0.7])
         X, y = ds.xy(split.victim_test[:4])
-        mr = MrInput(ADV2, models)
-        feats = attacks.mr_posterior_concat(X, y, mr)
+        feats = attacks.mr_posterior_concat(X, y, models)
         C = ds.class_count
         assert feats.shape == (4, 2 * C)
         P0 = nn.forward(models[0].model, X)
@@ -309,8 +317,7 @@ class TestMrBuilders:
 
         attacks._posteriors = fake
         try:
-            mr = MrInput(ADV2, [a, b])
-            feats = attacks.mr_posterior_concat(np.zeros((1, 3)), np.zeros(1, dtype=int), mr)
+            feats = attacks.mr_posterior_concat(np.zeros((1, 3)), np.zeros(1, dtype=int), [a, b])
             assert feats[0].tolist() == [0.8, 0.2, 0.4, 0.6]
         finally:
             attacks._posteriors = orig_posteriors
@@ -318,11 +325,10 @@ class TestMrBuilders:
     def test_adv1_degenerate_classifiers_give_constant_features(self):
         ds, split, victim, _ = tiny_world()
         models = self._pruned_pair(victim, [0.6, 0.7])
-        constant = [meta.LogisticMeta(np.zeros(SrConstruction.SORTED_CONCAT_LABEL.feature_length(ds.class_count)), 0.0)
-                    for _ in models]
-        mr = MrInput(ADV1, models, original_model=victim, sr_classifiers=constant)
+        # sorted_concat_label features are 3C wide
+        constant = [meta.LogisticMeta(np.zeros(3 * ds.class_count), 0.0) for _ in models]
         X, y = ds.xy(split.victim_test[:3])
-        feats = attacks.mr_posterior_concat(X, y, mr)
+        feats = attacks.mr_posterior_concat(X, y, models, victim, constant)
         assert np.all(feats == 0.5)
         assert feats.shape == (3, 4)  # [1-p, p] pairs per model
 
@@ -331,8 +337,8 @@ class TestMrBuilders:
         a = compress.prune_l1(victim, 0.6)
         b = compress.prune_l1(shadow, 0.6)  # same degree, different model
         X, y = ds.xy(split.victim_test[:4])
-        f_ab = attacks.mr_posterior_concat(X, y, MrInput(ADV2, [a, b]))
-        f_ba = attacks.mr_posterior_concat(X, y, MrInput(ADV2, [b, a]))
+        f_ab = attacks.mr_posterior_concat(X, y, [a, b])
+        f_ba = attacks.mr_posterior_concat(X, y, [b, a])
         C = ds.class_count
         Pa, Pb = nn.forward(a.model, X), nn.forward(b.model, X)
         for i in range(4):
@@ -386,15 +392,15 @@ class TestMrBuilders:
         X, y = ds.xy(split.victim_train[:3])
         with pytest.raises(OrderingError):
             attacks.mr_loss_concat(X, y, models)
+        with pytest.raises(OrderingError):
+            attacks.mr_posterior_concat(X, y, models)
 
-    def test_mr_input_validation(self):
-        ds, split, victim, _ = tiny_world()
-        one = self._pruned_pair(victim, [0.6])
-        with pytest.raises(ConfigError):
-            MrInput(ADV2, one)
-        two = self._pruned_pair(victim, [0.6, 0.7])
-        with pytest.raises(ConfigError):
-            MrInput(ADV1, two, original_model=victim, sr_classifiers=None)
+    def test_one_model_rejected(self):
+        ds, split, victim, shadow = tiny_world()
+        vm, sm = compress.prune_l1(victim, 0.6), compress.prune_l1(shadow, 0.6)
+        for adversary in (ADV1, ADV2):
+            with pytest.raises(ConfigError, match="at least 2"):
+                attacks.run_mr(ds, split, victim, [vm], shadow, [sm], adversary=adversary)
 
 
 class TestRunMr:
@@ -403,9 +409,8 @@ class TestRunMr:
         ds, split, victim, shadow = tiny_world()
         v_models = [compress.prune_l1(victim, s) for s in (0.6, 0.7)]
         s_models = [compress.prune_l1(shadow, s) for s in (0.6, 0.7)]
-        mr = MrInput(ADV2, v_models)
         X, y = ds.xy(split.victim_test[:4])
-        post = attacks.mr_posterior_concat(X, y, mr)
+        post = attacks.mr_posterior_concat(X, y, v_models)
         loss = attacks.mr_loss_concat(X, y, v_models)
         n, C = len(v_models), ds.class_count
         assert post.shape[1] + loss.shape[1] == n * C + n

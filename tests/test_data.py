@@ -71,15 +71,6 @@ class TestSynth:
         with pytest.raises(InputError):
             data.synth_generate(3, 2, 5, 1.0)
 
-    def test_label_noise_flips_requested_fraction(self):
-        clean = data.synth_generate(2000, 4, 5, 1.0, seed=3)
-        noisy = data.synth_generate(2000, 4, 5, 1.0, seed=3, label_noise=0.3)
-        assert np.array_equal(clean.features, noisy.features)
-        flipped = np.mean(clean.labels != noisy.labels)
-        assert 0.2 <= flipped <= 0.4
-        with pytest.raises(InputError):
-            data.synth_generate(10, 2, 2, 1.0, label_noise=1.0)
-
     def test_tiny_spread_is_separable(self):
         # a trained classifier reaches near-perfect held-out accuracy
         ds = data.synth_generate(400, 8, 4, 0.01, seed=7)
@@ -137,17 +128,17 @@ class TestSplit:
 class TestFinetuneSplit:
     def test_union_and_disjointness(self):
         victim_train = np.arange(10, 50)
-        plan = data.make_finetune_split(victim_train, 0.25, seed=0)
-        joined = np.sort(np.concatenate([plan.fine_indices, plan.held_indices]))
-        assert np.array_equal(joined, victim_train)
-        assert not set(plan.fine_indices.tolist()) & set(plan.held_indices.tolist())
-        assert plan.fine_indices.size == 10
+        fine = data.make_finetune_split(victim_train, 0.25, seed=0)
+        held = np.setdiff1d(victim_train, fine)
+        assert np.array_equal(np.sort(np.concatenate([fine, held])), victim_train)
+        assert np.array_equal(fine, np.sort(fine)) and np.unique(fine).size == fine.size
+        assert set(fine.tolist()) <= set(victim_train.tolist())
+        assert fine.size == 10
 
     def test_full_fraction(self):
         victim_train = np.arange(12)
-        plan = data.make_finetune_split(victim_train, 1.0, seed=1)
-        assert plan.held_indices.size == 0
-        assert np.array_equal(plan.fine_indices, victim_train)
+        fine = data.make_finetune_split(victim_train, 1.0, seed=1)
+        assert np.array_equal(fine, victim_train)
 
     def test_invalid_fraction(self):
         with pytest.raises(InputError):

@@ -7,6 +7,11 @@ from compaudit import attacks, checkpoint, meta
 from compaudit.errors import DegenerateDataError, InputError, ShapeError
 
 
+def accuracy(clf, X, y):
+    """Share of rows decided right at threshold 0.5, ties to member."""
+    return np.mean((meta.score_proba(clf, X) >= 0.5) == (y == 1))
+
+
 def one_d_separable(n=40, seed=0):
     rng = np.random.default_rng(seed)
     y = np.arange(n) % 2
@@ -18,17 +23,17 @@ class TestLogistic:
     def test_separable_data_perfect_accuracy(self):
         X, y = one_d_separable()
         clf = meta.fit("lr", X, y, seed=0)
-        assert np.mean(meta.predict(clf, X) == (y == 1)) == 1.0
+        assert accuracy(clf, X, y) == 1.0
 
     def test_duplicate_point_with_both_labels_scores_half(self):
         X = np.array([[0.3, -0.2], [0.3, -0.2]])
         y = np.array([0, 1])
         clf = meta.fit("lr", X, y, seed=0)
-        assert meta.score_proba(clf, X[0]) == pytest.approx(0.5, abs=1e-9)
+        assert meta.score_proba(clf, X[:1])[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_weights_score_half(self):
         clf = meta.LogisticMeta(np.zeros(3), 0.0)
-        assert meta.score_proba(clf, np.array([5.0, -2.0, 9.9])) == 0.5
+        assert meta.score_proba(clf, np.array([[5.0, -2.0, 9.9]]))[0] == 0.5
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -63,7 +68,7 @@ class TestRandomForest:
         y = np.array([0, 1, 1, 0])
         hyper = meta.RfHyper(n_trees=1, max_depth=1, bootstrap=False)
         clf = meta.fit("rf", X, y, hyper=hyper, seed=0)
-        acc = np.mean(meta.predict(clf, X) == (y == 1))
+        acc = accuracy(clf, X, y)
         assert acc <= 0.75
 
     def test_deep_forest_solves_xor(self):
@@ -71,14 +76,14 @@ class TestRandomForest:
         y = np.array([0, 1, 1, 0])
         hyper = meta.RfHyper(n_trees=25, max_depth=4, bootstrap=False)
         clf = meta.fit("rf", X, y, hyper=hyper, seed=1)
-        assert np.mean(meta.predict(clf, X) == (y == 1)) == 1.0
+        assert accuracy(clf, X, y) == 1.0
 
     def test_unanimous_trees_score_one(self):
         X, y = one_d_separable(seed=4)
         hyper = meta.RfHyper(n_trees=10, max_depth=3, bootstrap=False)
         clf = meta.fit("rf", X, y, hyper=hyper, seed=2)
-        assert meta.score_proba(clf, np.array([1.0])) == 1.0
-        assert meta.score_proba(clf, np.array([-1.0])) == 0.0
+        assert meta.score_proba(clf, np.array([[1.0]]))[0] == 1.0
+        assert meta.score_proba(clf, np.array([[-1.0]]))[0] == 0.0
 
     def test_probabilities_in_unit_interval(self):
         rng = np.random.default_rng(5)
@@ -330,7 +335,7 @@ class TestMlp:
     def test_separable_data(self):
         X, y = one_d_separable(seed=7)
         clf = meta.fit("mlp", X, y, seed=5)
-        assert np.mean(meta.predict(clf, X) == (y == 1)) == 1.0
+        assert accuracy(clf, X, y) == 1.0
 
     def test_batch_order_invariance(self):
         rng = np.random.default_rng(8)
@@ -518,8 +523,11 @@ class TestContracts:
         X, y = one_d_separable()
         clf = meta.fit("lr", X, y)
         with pytest.raises(ShapeError):
-            meta.score_proba(clf, np.ones(5))
+            meta.score_proba(clf, np.ones((1, 5)))
 
-    def test_tie_goes_to_member(self):
-        clf = meta.LogisticMeta(np.zeros(2), 0.0)  # every score exactly 0.5
-        assert meta.predict(clf, np.zeros(2))
+    @pytest.mark.parametrize("kind", ["lr", "rf", "mlp"])
+    def test_vector_rejected(self, kind):
+        X, y = one_d_separable()
+        clf = meta.fit(kind, X, y, hyper=meta.RfHyper(n_trees=2) if kind == "rf" else None)
+        with pytest.raises(ShapeError):
+            meta.score_proba(clf, X[0])

@@ -1,12 +1,14 @@
 """Plan parsing and validation tests."""
 
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
+from compaudit import cli, data, nn
 from compaudit.errors import PlanError
-from compaudit.plan import parse_plan_text
+from compaudit.plan import AttackSpec, CompressionSpec, DatasetSpec, TrainSpec, parse_plan_text
 
 GOOD = """
 [dataset]
@@ -84,7 +86,7 @@ batch_size = 10
 max_epochs = 5
 """
         )
-        assert plan.train["hidden"] == [256, 128]
+        assert plan.train.hidden == [256, 128]
         assert plan.repetitions == 5
         assert plan.fpr_caps == [0.001]
         assert plan.compression_keys() == []
@@ -120,9 +122,148 @@ max_epochs = 5
 
     def test_dp_section_optional_and_validated(self):
         plan = parse_plan_text(GOOD + "\n[dp]\nclip_norm = 1.0\nnoise_multiplier = 0.5\n")
-        assert plan.dp["noise_multiplier"] == 0.5
+        assert plan.dp.noise_multiplier == 0.5
         with pytest.raises(PlanError):
             parse_plan_text(GOOD + "\n[dp]\nclip_norm = -1\nnoise_multiplier = 0.5\n")
+
+
+EVERY_KEY = """
+[dataset]
+kind = csv
+samples = 300
+features = 7
+classes = 4
+spread = 0.5
+seed = 9
+path = rows.csv
+label_column = 0
+has_header = yes
+
+[split]
+victim_train = 30
+victim_test = 31
+shadow_train = 32
+shadow_test = 33
+
+[train]
+learning_rate = 0.05
+batch_size = 16
+max_epochs = 7
+hidden = 32,16,8
+dropout = 0.25
+l2_lambda = 0.001
+early_stop_patience = 3
+momentum = 0.9
+
+[dp]
+clip_norm = 2.0
+noise_multiplier = 1.5
+delta = 1e-6
+
+[compression]
+prune = 0.5,0.75
+clusters = 16,4
+int8 = true
+int8_mode = calibrate
+finetune_epochs = 3
+finetune_learning_rate = 0.02
+finetune_fraction = 0.5
+
+[attacks]
+nr = mentr,posterior_lr
+nr_targets = original,prune50
+sr_methods = l2_distance_label
+sr_classifiers = lr,mlp
+sr_targets = int8
+mr = adv1,adv2
+mr_models = prune50,cluster4
+mr_sr_method = direct_concat_label
+mr_sr_classifier = lr
+
+[metrics]
+fpr_caps = 0.01,0.05
+
+[run]
+repetitions = 3
+seed_base = 11
+workers = 2
+"""
+
+
+class TestSectionReader:
+    def test_every_key_set_to_a_non_default_value(self):
+        plan = parse_plan_text(EVERY_KEY)
+        expected = {
+            "dataset": DatasetSpec("csv", 300, 7, 4, 0.5, 9, "rows.csv", 0, True),
+            "split": data.SplitSizes(30, 31, 32, 33),
+            "train": TrainSpec(0.05, 16, 7, [32, 16, 8], 0.25, 0.001, 3, 0.9),
+            "dp": nn.DpConfig(2.0, 1.5, 1e-6),
+            "compression": CompressionSpec([0.5, 0.75], [16, 4], True, "calibrate", 3, 0.02, 0.5),
+            "attacks": AttackSpec(
+                ["mentr", "posterior_lr"], ["original", "prune50"], ["l2_distance_label"],
+                ["lr", "mlp"], ["int8"], ["adv1", "adv2"], ["prune50", "cluster4"],
+                "direct_concat_label", "lr",
+            ),
+        }
+        for name, spec in expected.items():
+            got = getattr(plan, name)
+            assert type(got) is type(spec)
+            for f in fields(spec):
+                assert getattr(got, f.name) == getattr(spec, f.name), (name, f.name)
+                if f.default is not MISSING:
+                    assert getattr(got, f.name) != f.default, (name, f.name)
+                elif f.default_factory is not MISSING:
+                    assert getattr(got, f.name) != f.default_factory(), (name, f.name)
+                assert type(getattr(got, f.name)) is type(getattr(spec, f.name)), (name, f.name)
+        assert (plan.fpr_caps, plan.repetitions, plan.seed_base, plan.workers) == ([0.01, 0.05], 3, 11, 2)
+        assert plan.compression_keys() == ["prune50", "prune75", "int8", "cluster16", "cluster4"]
+
+    def test_empty_finetune_learning_rate_is_none(self):
+        plan = parse_plan_text(GOOD.replace("finetune_epochs = 2", "finetune_learning_rate =\nfinetune_epochs = 2"))
+        assert plan.compression.finetune_learning_rate is None
+
+    @pytest.mark.parametrize("edit, field_name", [
+        (("batch_size = 25", "batch_size = 2.5"), "batch_size"),
+        (("spread = 0.8", "spread = wide"), "spread"),
+        (("finetune_epochs = 2", "finetune_epochs = 2\nint8 = maybe"), "int8"),
+        (("prune = 0.6,0.8", "prune = 0.6,x"), "prune"),
+        (("hidden = 12", "hidden = 12,a"), "hidden"),
+        (("max_epochs = 15\n", ""), "max_epochs"),
+    ], ids=["int", "float", "bool", "float_list", "int_list", "missing_train_key"])
+    def test_mistyped_or_missing_value(self, tmp_path, capsys, edit, field_name):
+        assert edit[0] in GOOD
+        text = GOOD.replace(*edit)
+        with pytest.raises(PlanError, match=field_name):
+            parse_plan_text(text)
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(text, encoding="utf-8")
+        assert cli.main(["--plan", str(plan_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and field_name in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_dp_delta_rejected_at_parse_time(self):
+        with pytest.raises(PlanError, match="delta"):
+            parse_plan_text(GOOD + "\n[dp]\nclip_norm = 1.0\nnoise_multiplier = 0.5\ndelta = 2\n")
+
+
+class TestTargetKeys:
+    def test_sparsity_not_a_whole_percent_rejected(self):
+        bad = GOOD.replace("prune = 0.6,0.8", "prune = 0.857,0.925,0.92")
+        with pytest.raises(PlanError, match="0.857"):
+            parse_plan_text(bad)
+
+    def test_whole_percents_accepted(self):
+        plan = parse_plan_text(GOOD.replace("prune = 0.6,0.8", "prune = 0.07,0.29,0.57,0.99,1"))
+        assert plan.compression_keys() == ["prune7", "prune29", "prune57", "prune99", "prune100"]
+
+    @pytest.mark.parametrize("edit, key", [
+        ("prune = 0.6,0.60", "prune60"),
+        ("prune = 0.6,0.8\nclusters = 8,8", "cluster8"),
+    ], ids=["prune", "clusters"])
+    def test_two_targets_sharing_a_key_rejected(self, edit, key):
+        with pytest.raises(PlanError, match=key):
+            parse_plan_text(GOOD.replace("prune = 0.6,0.8", edit))
 
 
 def test_readme_example_plan_parses():
@@ -131,4 +272,4 @@ def test_readme_example_plan_parses():
     assert len(blocks) == 1
     plan = parse_plan_text(blocks[0])
     assert plan.dataset.kind == "synth"
-    assert plan.dp["noise_multiplier"] == 0.5
+    assert plan.dp.noise_multiplier == 0.5
