@@ -14,6 +14,10 @@ Model layout (version 1)::
      "constraint": null | {"kind": ..., family-specific fields},
      "family": null | str, "degree_tag": null | float}
 
+The constraint's ``kind`` picks its class from ``constraints.KINDS``, and
+the class reads its own fields and names its ``family``; a stored family
+that is not the class's is rejected.
+
 Classifier layout: {"format": ..., "version": 1, "kind": "lr"|"rf"|"mlp",
 parameter fields}. A forest stores "n_features", "bootstrap" and "trees",
 one object per tree holding the five flat node arrays of ``meta.Tree``::
@@ -31,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .compress import CompressedModel
-from .constraints import CLUSTER, PRUNE, QUANT, CompressionConstraint
-from .errors import CheckpointError
+from .constraints import KINDS
+from .errors import CheckpointError, InputError
 from .meta import LogisticMeta, MlpMeta, RandomForestMeta, Tree
 from .nn import FcnModel
 
@@ -81,44 +85,12 @@ def _load(path) -> dict:
     return payload
 
 
-def _constraint_to_dict(c: CompressionConstraint | None):
-    if c is None:
-        return None
-    if c.kind == PRUNE:
-        return {"kind": c.kind, "masks": [m.astype(int).tolist() for m in c.prune_masks]}
-    if c.kind == CLUSTER:
-        return {
-            "kind": c.kind,
-            "assignments": [a.tolist() for a in c.cluster_assignments],
-            "centroids": [cent.tolist() for cent in c.cluster_centroids],
-        }
-    return {"kind": c.kind, "scales": [float(s) for s in c.quant_scales]}
-
-
-def _constraint_from_dict(d) -> CompressionConstraint | None:
-    if d is None:
-        return None
-    kind = d["kind"]
-    if kind == PRUNE:
-        return CompressionConstraint(
-            kind=PRUNE, prune_masks=[np.asarray(m, dtype=bool) for m in d["masks"]]
-        )
-    if kind == CLUSTER:
-        return CompressionConstraint(
-            kind=CLUSTER,
-            cluster_assignments=[np.asarray(a, dtype=np.int64) for a in d["assignments"]],
-            cluster_centroids=[np.asarray(c, dtype=float) for c in d["centroids"]],
-        )
-    if kind == QUANT:
-        return CompressionConstraint(kind=QUANT, quant_scales=[float(s) for s in d["scales"]])
-    raise CheckpointError(f"unknown constraint kind {kind!r}")
-
-
 def save_model(path, model: FcnModel | CompressedModel):
     """Write a plain or compressed model checkpoint."""
     constraint, family, degree = None, None, None
     if isinstance(model, CompressedModel):
-        constraint, family, degree = model.constraint, model.family, model.degree_tag
+        c = model.constraint
+        constraint, family, degree = {"kind": c.kind, **c.fields()}, c.family, model.degree_tag
         model = model.model
     write_json(
         {
@@ -129,7 +101,7 @@ def save_model(path, model: FcnModel | CompressedModel):
             "weights": [w.tolist() for w in model.weights],
             "biases": [b.tolist() for b in model.biases],
             "dropout_rates": [float(p) for p in model.dropout_rates],
-            "constraint": _constraint_to_dict(constraint),
+            "constraint": constraint,
             "family": family,
             "degree_tag": degree,
         },
@@ -153,11 +125,14 @@ def load_model(path) -> FcnModel | CompressedModel:
             [np.asarray(b, dtype=float) for b in d["biases"]],
             [float(p) for p in d["dropout_rates"]],
         )
-        constraint = _constraint_from_dict(d.get("constraint"))
-        if constraint is None:
+        c = d.get("constraint")
+        if c is None:
             return model
-        return CompressedModel(model, constraint, d["family"], float(d["degree_tag"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        constraint = KINDS[c["kind"]].from_fields(c)
+        if d["family"] != constraint.family:
+            raise ValueError(f"family {d['family']!r} with constraint kind {constraint.kind!r}")
+        return CompressedModel(model, constraint, float(d["degree_tag"]))
+    except (KeyError, TypeError, ValueError, InputError) as exc:
         raise CheckpointError(f"{path}: malformed model ({exc!r})") from None
 
 

@@ -1,7 +1,7 @@
 """Compression operations over dense classifier models.
 
 Three families are supported, each producing a ``CompressedModel`` whose
-weights exactly satisfy a recorded ``CompressionConstraint``:
+weights exactly satisfy its family's recorded constraint (``constraints``):
 
 - magnitude pruning: the globally smallest-magnitude weights are zeroed
   and masked (biases are never pruned);
@@ -21,21 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .constraints import (
-    CLUSTER,
-    PRUNE,
-    QUANT,
-    CompressionConstraint,
-    check_constraint,
-    derive_cluster_centroids,
-    fake_quantize,
-    quant_scale,
-)
+from .constraints import Clustered, Pruned, Quantized, fake_quantize, quant_scale
 from .errors import InputError, TrainingError
-
-FAMILY_PRUNE = "prune"
-FAMILY_QUANT = "quant"
-FAMILY_CLUSTER = "cluster"
 
 
 @dataclass
@@ -43,9 +30,12 @@ class CompressedModel:
     """A model together with the constraint its compression imposed."""
 
     model: nn.FcnModel
-    constraint: CompressionConstraint
-    family: str
+    constraint: Pruned | Clustered | Quantized
     degree_tag: float
+
+    @property
+    def family(self) -> str:
+        return self.constraint.family
 
     @property
     def order_key(self) -> tuple[str, float]:
@@ -53,7 +43,7 @@ class CompressedModel:
 
     def verify(self) -> bool:
         """Exact re-check of the constraint against the weights."""
-        return check_constraint(self.model.weights, self.constraint)
+        return self.constraint.check(self.model.weights)
 
 
 def prune_l1(model: nn.FcnModel, sparsity: float) -> CompressedModel:
@@ -81,8 +71,7 @@ def prune_l1(model: nn.FcnModel, sparsity: float) -> CompressedModel:
         w[~m] = 0.0
         masks.append(m)
         offset += w.size
-    constraint = CompressionConstraint(kind=PRUNE, prune_masks=masks)
-    return CompressedModel(new, constraint, FAMILY_PRUNE, sparsity * 100.0)
+    return CompressedModel(new, Pruned(masks), sparsity * 100.0)
 
 
 def quantize_int8(
@@ -106,21 +95,14 @@ def quantize_int8(
     if mode == "qat":
         if train_set is None or config is None:
             raise InputError("qat mode requires train_set and config")
-        seed_constraint = CompressionConstraint(
-            kind=QUANT, quant_scales=[quant_scale(w) for w in model.weights]
-        )
+        seed_constraint = Quantized([quant_scale(w) for w in model.weights])
         if dp is None:
             base = nn.train(model, train_set, None, config, constraint=seed_constraint)
         else:
             base = nn.train_dpsgd(model, train_set, config, dp, constraint=seed_constraint)
     new = base.copy()
-    scales = []
-    for l, w in enumerate(new.weights):
-        snapped, s = fake_quantize(w)
-        new.weights[l] = snapped
-        scales.append(s)
-    constraint = CompressionConstraint(kind=QUANT, quant_scales=scales)
-    return CompressedModel(new, constraint, FAMILY_QUANT, 8.0)
+    new.weights = [fake_quantize(w)[0] for w in base.weights]
+    return CompressedModel(new, Quantized([quant_scale(w) for w in base.weights]), 8.0)
 
 
 def kmeans_1d(
@@ -216,10 +198,7 @@ def cluster_weights(model: nn.FcnModel, n_clusters: int, seed: int = 0) -> Compr
         new.weights[l] = cent[assign].reshape(w.shape)
         assignments.append(assign)
         centroids.append(cent)
-    constraint = CompressionConstraint(
-        kind=CLUSTER, cluster_assignments=assignments, cluster_centroids=centroids
-    )
-    return CompressedModel(new, constraint, FAMILY_CLUSTER, 100.0 / n_clusters)
+    return CompressedModel(new, Clustered(assignments, centroids), 100.0 / n_clusters)
 
 
 def finetune_compressed(
@@ -244,18 +223,7 @@ def finetune_compressed(
         trained = nn.train(cm.model, train_set, valid_set, config, constraint=cm.constraint)
     else:
         trained = nn.train_dpsgd(cm.model, train_set, config, dp, constraint=cm.constraint)
-    constraint = cm.constraint
-    if constraint.kind == CLUSTER:
-        constraint = CompressionConstraint(
-            kind=CLUSTER,
-            cluster_assignments=constraint.cluster_assignments,
-            cluster_centroids=derive_cluster_centroids(trained.weights, constraint),
-        )
-    elif constraint.kind == QUANT:
-        constraint = CompressionConstraint(
-            kind=QUANT, quant_scales=[quant_scale(w) for w in trained.weights]
-        )
-    out = CompressedModel(trained, constraint, cm.family, cm.degree_tag)
+    out = CompressedModel(trained, cm.constraint.refreshed(trained.weights), cm.degree_tag)
     if not out.verify():
         raise TrainingError("constraint violated after fine-tuning")
     return out

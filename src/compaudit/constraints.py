@@ -1,10 +1,12 @@
 """Compression constraints attached to dense models.
 
 A constraint records the structure a compression operation imposed on the
-weight matrices of a model: a keep-mask for pruning, a shared-centroid
-cluster assignment, or a symmetric int8 quantization grid. Trainers keep
-the active constraint satisfied after every parameter update, so a
-compressed model never drifts off its constrained manifold.
+weight matrices of a model, one class per family: ``Pruned`` holds a
+keep-mask, ``Clustered`` a shared-centroid assignment and ``Quantized`` a
+symmetric int8 grid. Each class also holds what training, fine-tuning and
+checkpoints need of its family, so trainers keep the active constraint
+satisfied after every parameter update and a compressed model never drifts
+off its constrained manifold.
 
 Biases are never constrained.
 """
@@ -14,10 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-
-PRUNE = "prune_mask"
-CLUSTER = "cluster_assignment"
-QUANT = "fake_quant"
 
 # Symmetric signed int8 grid: integer levels in [-127, 127].
 QUANT_LEVELS = 127
@@ -46,92 +44,159 @@ def fake_quantize(w: np.ndarray, scale: float | None = None) -> tuple[np.ndarray
 
 
 @dataclass
-class CompressionConstraint:
-    """Structural constraint over the weight matrices of one model.
+class Unconstrained:
+    """The parameterization of a plain model, and the base of the three families.
 
-    Exactly one family of fields is populated, selected by ``kind``:
-
-    - PRUNE: ``prune_masks``, boolean arrays shaped like each weight
-      matrix, True at kept positions.
-    - CLUSTER: ``cluster_assignments`` (flat int arrays, one entry per
-      weight) and ``cluster_centroids`` (shared values per matrix).
-    - QUANT: ``quant_scales``, one positive scale per weight matrix.
+    A compression family is one subclass: its fields are the structure the
+    compression imposed, ``kind`` names it in a checkpoint and ``family``
+    in a model's order key. ``check`` tests weights exactly, with no
+    tolerance; ``fields`` gives the checkpoint fields as JSON values and
+    ``from_fields`` reads them back. Training runs on the family's
+    parameters: ``parameters`` makes them from the model's weights,
+    ``weights`` maps them back to weight matrices for each forward pass,
+    ``gradients`` maps weight gradients onto them, and ``project`` restores
+    the constraint after each update. Here the parameters are the weights
+    themselves.
     """
 
-    kind: str
-    prune_masks: list[np.ndarray] | None = None
-    cluster_assignments: list[np.ndarray] | None = None
-    cluster_centroids: list[np.ndarray] | None = None
-    quant_scales: list[float] | None = None
+    def refreshed(self, weights: list[np.ndarray]):
+        """The constraint that fine-tuned ``weights`` satisfy."""
+        return self
+
+    def parameters(self, weights: list[np.ndarray]) -> list[np.ndarray]:
+        params = [w.copy() for w in weights]
+        self.project(params)
+        return params
+
+    def weights(self, params: list[np.ndarray], shapes) -> list[np.ndarray]:
+        return params
+
+    def gradients(self, dWs: list[np.ndarray]) -> list[np.ndarray]:
+        return dWs
+
+    def project(self, params: list[np.ndarray]):
+        pass
+
+
+@dataclass
+class Pruned(Unconstrained):
+    """Boolean keep-masks shaped like each weight matrix, True at kept positions.
+
+    Masked gradients drive the update, and masked positions are set back
+    to exactly zero after it.
+    """
+
+    prune_masks: list[np.ndarray]
+    kind = "prune_mask"
+    family = "prune"
+
+    def check(self, weights):
+        return all(mask.shape == w.shape and not np.any(w[~mask] != 0.0)
+                   for w, mask in zip(weights, self.prune_masks, strict=True))
+
+    def fields(self):
+        return {"masks": [m.astype(int).tolist() for m in self.prune_masks]}
+
+    @classmethod
+    def from_fields(cls, d):
+        return cls([np.asarray(m, dtype=bool) for m in d["masks"]])
+
+    def gradients(self, dWs):
+        return [dW * m for dW, m in zip(dWs, self.prune_masks)]
+
+    def project(self, params):
+        for w, m in zip(params, self.prune_masks):
+            w[~m] = 0.0
+
+
+@dataclass
+class Clustered(Unconstrained):
+    """Shared centroid values per weight matrix.
+
+    ``cluster_assignments`` holds flat int arrays, one entry per weight,
+    and ``cluster_centroids`` the shared values per matrix. Training moves
+    the centroids: a centroid's gradient is the sum of its members'.
+    """
+
+    cluster_assignments: list[np.ndarray]
+    cluster_centroids: list[np.ndarray]
+    kind = "cluster_assignment"
+    family = "cluster"
+
+    def check(self, weights):
+        return all(assign.shape[0] == w.size and not np.any(assign >= cent.shape[0])
+                   and np.array_equal(cent[assign].reshape(w.shape), w)
+                   for w, assign, cent in zip(
+                       weights, self.cluster_assignments, self.cluster_centroids, strict=True))
+
+    def fields(self):
+        return {
+            "assignments": [a.tolist() for a in self.cluster_assignments],
+            "centroids": [c.tolist() for c in self.cluster_centroids],
+        }
+
+    @classmethod
+    def from_fields(cls, d):
+        return cls([np.asarray(a, dtype=np.int64) for a in d["assignments"]],
+                   [np.asarray(c, dtype=float) for c in d["centroids"]])
+
+    def refreshed(self, weights):
+        """Centroid values re-read from clustered weights after training.
+
+        Member weights of one cluster stay equal throughout constrained
+        training, so any member carries the centroid value; weights whose
+        members differ fail the ``check`` that follows a fine-tune. Empty
+        clusters keep their previous centroid.
+        """
+        out = [c.astype(float) for c in self.cluster_centroids]
+        for w, assign, cent in zip(weights, self.cluster_assignments, out, strict=True):
+            cent[assign] = w.ravel()
+        return Clustered(self.cluster_assignments, out)
+
+    def parameters(self, weights):
+        return [c.astype(float) for c in self.cluster_centroids]
+
+    def weights(self, params, shapes):
+        return [c[a].reshape(s) for c, a, s in zip(params, self.cluster_assignments, shapes)]
+
+    def gradients(self, dWs):
+        return [np.bincount(a, weights=dW.ravel(), minlength=c.shape[0])
+                for dW, a, c in zip(dWs, self.cluster_assignments, self.cluster_centroids)]
+
+
+@dataclass
+class Quantized(Unconstrained):
+    """One positive int8 scale per weight matrix.
+
+    Training keeps float latents and snaps them onto the grid of their own
+    current scale for every forward pass; gradients flow straight through.
+    """
+
+    quant_scales: list[float]
+    kind = "fake_quant"
+    family = "quant"
 
     def __post_init__(self):
-        if self.kind not in (PRUNE, CLUSTER, QUANT):
-            raise InputError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == PRUNE and self.prune_masks is None:
-            raise InputError("prune constraint requires masks")
-        if self.kind == CLUSTER and (
-            self.cluster_assignments is None or self.cluster_centroids is None
-        ):
-            raise InputError("cluster constraint requires assignments and centroids")
-        if self.kind == QUANT:
-            if self.quant_scales is None:
-                raise InputError("quant constraint requires scales")
-            if any(s <= 0 for s in self.quant_scales):
-                raise InputError("quant scales must be positive")
+        if any(s <= 0 for s in self.quant_scales):
+            raise InputError("quant scales must be positive")
+
+    def check(self, weights):
+        return all(np.array_equal(fake_quantize(w, s)[0], w)
+                   for w, s in zip(weights, self.quant_scales, strict=True))
+
+    def fields(self):
+        return {"scales": [float(s) for s in self.quant_scales]}
+
+    @classmethod
+    def from_fields(cls, d):
+        return cls([float(s) for s in d["scales"]])
+
+    def refreshed(self, weights):
+        return Quantized([quant_scale(w) for w in weights])
+
+    def weights(self, params, shapes):
+        return [fake_quantize(w)[0] for w in params]
 
 
-def check_constraint(weights: list[np.ndarray], constraint: CompressionConstraint) -> bool:
-    """Exact check that ``weights`` satisfy ``constraint``.
-
-    No tolerance is applied: pruned positions must be exactly zero,
-    clustered matrices must be exactly reproduced by their centroids, and
-    quantized matrices must sit exactly on the recorded grid.
-    """
-    if constraint.kind == PRUNE:
-        for w, mask in zip(weights, constraint.prune_masks, strict=True):
-            if mask.shape != w.shape:
-                return False
-            if np.any(w[~mask] != 0.0):
-                return False
-        return True
-    if constraint.kind == CLUSTER:
-        for w, assign, cent in zip(
-            weights, constraint.cluster_assignments, constraint.cluster_centroids, strict=True
-        ):
-            if assign.shape[0] != w.size or np.any(assign >= cent.shape[0]):
-                return False
-            if not np.array_equal(cent[assign].reshape(w.shape), w):
-                return False
-        return True
-    if constraint.kind == QUANT:
-        for w, s in zip(weights, constraint.quant_scales, strict=True):
-            snapped, _ = fake_quantize(w, s)
-            if not np.array_equal(snapped, w):
-                return False
-        return True
-    return False
-
-
-def derive_cluster_centroids(
-    weights: list[np.ndarray], constraint: CompressionConstraint
-) -> list[np.ndarray]:
-    """Re-read centroid values from clustered weights after training.
-
-    Member weights of one cluster stay equal throughout constrained
-    training, so any member carries the centroid value. Empty clusters
-    keep their previous centroid.
-    """
-    out = []
-    for w, assign, old in zip(
-        weights, constraint.cluster_assignments, constraint.cluster_centroids, strict=True
-    ):
-        cent = old.astype(float).copy()
-        flat = w.ravel()
-        # first occurrence of each cluster id
-        seen = np.full(cent.shape[0], -1, dtype=np.int64)
-        idx = np.arange(assign.shape[0] - 1, -1, -1)
-        seen[assign[idx]] = idx
-        present = seen >= 0
-        cent[present] = flat[seen[present]]
-        out.append(cent)
-    return out
+# checkpoint kind -> family class
+KINDS = {cls.kind: cls for cls in (Pruned, Clustered, Quantized)}

@@ -324,61 +324,29 @@ def per_sample_gradients(
 class _TrainState:
     """Mutable optimizer state that keeps a compression constraint satisfied.
 
-    Parameterization depends on the constraint kind: plain or pruned models
-    update weight matrices directly (pruned positions pinned to zero),
-    clustered layers update shared centroids with summed member gradients,
-    and fake-quant layers hold float latents that are snapped onto the int8
-    grid for every forward pass (straight-through gradients).
+    The constraint's class sets what training updates: weight matrices,
+    shared centroids or float latents (see ``constraints.Unconstrained``).
     """
 
-    def __init__(self, model: FcnModel, constraint: cons.CompressionConstraint | None):
-        self.kind = constraint.kind if constraint is not None else None
-        self.constraint = constraint
+    def __init__(self, model: FcnModel, constraint: cons.Unconstrained | None):
+        self.constraint = constraint or cons.Unconstrained()
+        self.shapes = [w.shape for w in model.weights]
+        self.params = self.constraint.parameters(model.weights)
+        self.vel = [np.zeros_like(p) for p in self.params]
         self.biases = [b.copy() for b in model.biases]
         self.vel_b = [np.zeros_like(b) for b in model.biases]
-        if self.kind == cons.CLUSTER:
-            self.assignments = [a.copy() for a in constraint.cluster_assignments]
-            self.centroids = [c.astype(float).copy() for c in constraint.cluster_centroids]
-            self.vel = [np.zeros_like(c) for c in self.centroids]
-            self.shapes = [w.shape for w in model.weights]
-        else:
-            self.latent = [w.copy() for w in model.weights]
-            self.vel = [np.zeros_like(w) for w in model.weights]
-            if self.kind == cons.PRUNE:
-                self.masks = constraint.prune_masks
-                for w, m in zip(self.latent, self.masks):
-                    w[~m] = 0.0
 
     def effective_weights(self) -> list[np.ndarray]:
-        if self.kind == cons.CLUSTER:
-            return [
-                c[a].reshape(shape)
-                for c, a, shape in zip(self.centroids, self.assignments, self.shapes)
-            ]
-        if self.kind == cons.QUANT:
-            return [cons.fake_quantize(w)[0] for w in self.latent]
-        return self.latent
+        return self.constraint.weights(self.params, self.shapes)
 
     def apply_update(self, dWs, dbs, lr: float, momentum: float):
         for l, (db, b) in enumerate(zip(dbs, self.biases)):
             self.vel_b[l] = momentum * self.vel_b[l] - lr * db
             b += self.vel_b[l]
-        if self.kind == cons.CLUSTER:
-            for l, dW in enumerate(dWs):
-                # centroid gradient = sum of member-weight gradients
-                g = np.bincount(
-                    self.assignments[l], weights=dW.ravel(), minlength=self.centroids[l].shape[0]
-                )
-                self.vel[l] = momentum * self.vel[l] - lr * g
-                self.centroids[l] += self.vel[l]
-            return
-        for l, dW in enumerate(dWs):
-            if self.kind == cons.PRUNE:
-                dW = dW * self.masks[l]
-            self.vel[l] = momentum * self.vel[l] - lr * dW
-            self.latent[l] += self.vel[l]
-            if self.kind == cons.PRUNE:
-                self.latent[l][~self.masks[l]] = 0.0
+        for l, g in enumerate(self.constraint.gradients(dWs)):
+            self.vel[l] = momentum * self.vel[l] - lr * g
+            self.params[l] += self.vel[l]
+        self.constraint.project(self.params)
 
     def snapshot(self, template: FcnModel) -> FcnModel:
         return FcnModel(
@@ -475,7 +443,7 @@ def train(
     train_set,
     valid_set,
     config: TrainConfig,
-    constraint: cons.CompressionConstraint | None = None,
+    constraint: cons.Unconstrained | None = None,
 ) -> FcnModel:
     """SGD training; returns the best-validation snapshot.
 
@@ -497,7 +465,7 @@ def train_dpsgd(
     train_set,
     config: TrainConfig,
     dp: DpConfig,
-    constraint: cons.CompressionConstraint | None = None,
+    constraint: cons.Unconstrained | None = None,
 ) -> FcnModel:
     """DP-SGD: each sample's gradient is clipped to ``dp.clip_norm``, the
     clipped gradients are averaged, and Gaussian noise with std

@@ -135,19 +135,6 @@ def build_split(plan: ExperimentPlan, dataset: data.TabularDataset, rep: int) ->
     return data.make_split(dataset, plan.split, seed=derive_seed(plan.seed_base, rep, "split"))
 
 
-def _train_config(plan: ExperimentPlan, seed: int, epochs=None, lr=None) -> nn.TrainConfig:
-    t = plan.train
-    return nn.TrainConfig(
-        learning_rate=t.learning_rate if lr is None else lr,
-        batch_size=t.batch_size,
-        max_epochs=t.max_epochs if epochs is None else epochs,
-        l2_lambda=t.l2_lambda,
-        early_stop_patience=t.early_stop_patience,
-        momentum=t.momentum,
-        seed=seed,
-    )
-
-
 def _model_dir(out: Path, rep: int) -> Path:
     return out / "checkpoints" / "models" / f"rep{rep}"
 
@@ -179,7 +166,7 @@ def _train_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
         dropout = [plan.train.dropout] * (len(layer_sizes) - 2)
         model = nn.init_fcn(layer_sizes, seed=derive_seed(plan.seed_base, rep, "init", role),
                             dropout_rates=dropout)
-        cfg = _train_config(plan, seed=derive_seed(plan.seed_base, rep, "train", role))
+        cfg = plan.train.config(seed=derive_seed(plan.seed_base, rep, "train", role))
         train_xy = dataset.xy(getattr(split, f"{role}_train"))
         if plan.dp is None:
             valid_xy = (
@@ -206,7 +193,6 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
     split = build_split(plan, dataset, rep)
     spec = plan.compression
     ft_epochs = spec.finetune_epochs
-    ft_lr = spec.finetune_learning_rate
     for role in ("victim", "shadow"):
         orig_path = _model_dir(out, rep) / f"original_{role}.json"
         if not orig_path.exists():
@@ -228,7 +214,7 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
         for key in missing:
             path = _model_dir(out, rep) / f"{key}_{role}.json"
             seed = derive_seed(plan.seed_base, rep, "compress", role, key)
-            cfg = _train_config(plan, seed=seed, epochs=ft_epochs, lr=ft_lr)
+            cfg = plan.train.config(seed, epochs=ft_epochs, lr=spec.finetune_learning_rate)
             if key.startswith("prune"):
                 cm = compress.prune_l1(original, int(key[len("prune"):]) / 100.0)
             elif key.startswith("cluster"):

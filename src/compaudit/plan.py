@@ -82,6 +82,20 @@ class TrainSpec:
     early_stop_patience: int = 0
     momentum: float = 0.0
 
+    def __post_init__(self):
+        self.config(seed=0)  # nn.TrainConfig's own checks
+        if any(h < 1 for h in self.hidden):
+            raise InputError("each hidden width must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise InputError("dropout must be in [0, 1)")
+
+    def config(self, seed: int, epochs: int | None = None, lr: float | None = None) -> nn.TrainConfig:
+        """The training run's config; fine-tuning passes its own epochs and rate."""
+        return nn.TrainConfig(
+            learning_rate=self.learning_rate if lr is None else lr, batch_size=self.batch_size,
+            max_epochs=self.max_epochs if epochs is None else epochs, l2_lambda=self.l2_lambda,
+            early_stop_patience=self.early_stop_patience, momentum=self.momentum, seed=seed)
+
 
 @dataclass
 class CompressionSpec:
@@ -92,6 +106,12 @@ class CompressionSpec:
     finetune_epochs: int = 10
     finetune_learning_rate: float | None = None
     finetune_fraction: float = 1.0
+
+    def __post_init__(self):
+        if self.finetune_epochs < 0:
+            raise InputError("finetune_epochs must be non-negative")
+        if self.finetune_learning_rate is not None and self.finetune_learning_rate <= 0:
+            raise InputError("finetune_learning_rate must be positive")
 
     def target_keys(self) -> list[str]:
         keys = [f"prune{int(round(s * 100))}" for s in self.prune]

@@ -5,12 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from compaudit import checkpoint, compress, meta, nn
+from compaudit import checkpoint, compress, constraints, meta, nn
 from compaudit.errors import CheckpointError
 
 
 def sample_model():
     return nn.init_fcn([4, 6, 3], seed=1)
+
+
+# checkpoint constraint kind -> a compression that records it
+COMPRESSIONS = {
+    "prune_mask": lambda m: compress.prune_l1(m, 0.5),
+    "fake_quant": lambda m: compress.quantize_int8(m),
+    "cluster_assignment": lambda m: compress.cluster_weights(m, 4, seed=0),
+}
 
 
 class TestModelCheckpoints:
@@ -30,20 +38,18 @@ class TestModelCheckpoints:
         checkpoint.save_model(p2, m)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda m: compress.prune_l1(m, 0.5),
-            lambda m: compress.quantize_int8(m),
-            lambda m: compress.cluster_weights(m, 4, seed=0),
-        ],
-    )
-    def test_compressed_round_trip_keeps_constraint(self, tmp_path, make):
-        cm = make(sample_model())
+    @pytest.mark.parametrize("kind", sorted(constraints.KINDS))
+    def test_compressed_round_trip_keeps_constraint(self, tmp_path, kind):
+        cm = COMPRESSIONS[kind](sample_model())
+        assert type(cm.constraint) is constraints.KINDS[kind]
         p = tmp_path / "cm.json"
         checkpoint.save_model(p, cm)
+        d = json.loads(p.read_text(encoding="utf-8"))
+        assert d["constraint"]["kind"] == kind and d["family"] == cm.family
         loaded = checkpoint.load_model(p)
         assert isinstance(loaded, compress.CompressedModel)
+        assert type(loaded.constraint) is constraints.KINDS[kind]
+        assert loaded.constraint.fields() == cm.constraint.fields()
         assert loaded.family == cm.family
         assert loaded.degree_tag == cm.degree_tag
         assert loaded.verify()
@@ -71,6 +77,10 @@ class TestModelCheckpoints:
         lambda d: d.update(constraint=[1, 2]),
         lambda d: d.update(degree_tag=None),
         lambda d: d.pop("family"),
+        lambda d: d.update(family="quant"),
+        lambda d: d.update(family="zzz"),
+        lambda d: d["constraint"].update(kind="zzz"),
+        lambda d: d.update(constraint={"kind": "fake_quant", "scales": [0.0, 0.1]}, family="quant"),
     ])
     def test_missing_or_malformed_field_is_checkpoint_error(self, tmp_path, edit):
         p = tmp_path / "cm.json"
@@ -78,8 +88,9 @@ class TestModelCheckpoints:
         d = json.loads(p.read_text())
         edit(d)
         p.write_text(json.dumps(d), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="malformed model"):
+        with pytest.raises(CheckpointError, match="malformed model") as err:
             checkpoint.load_model(p)
+        assert str(p) in str(err.value)
 
 
 class TestClassifierCheckpoints:

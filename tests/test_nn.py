@@ -164,8 +164,7 @@ class TestTrain:
         X, y = separable_set()
         model = tiny_model([4, 8, 2], seed=1, dropout=[0.0])
         masks = [np.zeros_like(model.weights[0], dtype=bool), np.ones_like(model.weights[1], dtype=bool)]
-        constraint = cons.CompressionConstraint(kind=cons.PRUNE, prune_masks=masks)
-        trained = nn.train(model, (X, y), None, self.config(max_epochs=5), constraint)
+        trained = nn.train(model, (X, y), None, self.config(max_epochs=5), cons.Pruned(masks))
         assert np.all(trained.weights[0] == 0.0)
 
     def test_seed_determinism_is_bitwise(self):
@@ -196,11 +195,7 @@ class TestTrain:
         model.weights[0][:] = 0.5
         assign0 = np.zeros(model.weights[0].size, dtype=np.int64)
         assign1 = np.arange(model.weights[1].size, dtype=np.int64)
-        constraint = cons.CompressionConstraint(
-            kind=cons.CLUSTER,
-            cluster_assignments=[assign0, assign1],
-            cluster_centroids=[np.array([0.5]), model.weights[1].ravel().copy()],
-        )
+        constraint = cons.Clustered([assign0, assign1], [np.array([0.5]), model.weights[1].ravel().copy()])
         X = np.array([[1.0, 2.0], [0.5, -1.0], [2.0, 0.3]])
         y = np.array([0, 1, 0])
         lr = 0.05
@@ -249,29 +244,28 @@ class TestDpSgd:
         assert any(not np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
 
 
-def constrained(kind, model):
-    """(model, constraint) pair for each constraint kind a DP step must honor."""
-    if kind is None:
+def constrained(family, model):
+    """(model, constraint) pair for each compression family a DP step must honor."""
+    if family is None:
         return model, None
-    if kind == cons.PRUNE:
+    if family == "prune":
         cm = compress.prune_l1(model, 0.5)
         return cm.model, cm.constraint
-    if kind == cons.CLUSTER:
+    if family == "cluster":
         cm = compress.cluster_weights(model, 4, seed=1)
         return cm.model, cm.constraint
-    scales = [cons.quant_scale(w) for w in model.weights]
-    return model, cons.CompressionConstraint(kind=cons.QUANT, quant_scales=scales)
+    return model, cons.Quantized([cons.quant_scale(w) for w in model.weights])
 
 
 class TestDpStepOracle:
     """One full-batch DP-SGD step against materialized per-sample gradients."""
 
-    @pytest.mark.parametrize("kind", [None, cons.PRUNE, cons.QUANT, cons.CLUSTER])
-    def test_ghost_norm_step_matches_per_sample_oracle(self, kind):
+    @pytest.mark.parametrize("family", [None, "prune", "quant", "cluster"])
+    def test_ghost_norm_step_matches_per_sample_oracle(self, family):
         rng = np.random.default_rng(17)
         X = rng.normal(size=(24, 5))
         y = rng.integers(0, 3, 24)
-        model, constraint = constrained(kind, tiny_model([5, 7, 6, 3], seed=4, dropout=[0.0, 0.0]))
+        model, constraint = constrained(family, tiny_model([5, 7, 6, 3], seed=4, dropout=[0.0, 0.0]))
         seed, lr, l2 = 31, 0.05, 1e-3
         cfg = nn.TrainConfig(learning_rate=lr, batch_size=24, max_epochs=1, l2_lambda=l2, seed=seed)
 

@@ -222,24 +222,35 @@ class TestSectionReader:
         plan = parse_plan_text(GOOD.replace("finetune_epochs = 2", "finetune_learning_rate =\nfinetune_epochs = 2"))
         assert plan.compression.finetune_learning_rate is None
 
-    @pytest.mark.parametrize("edit, field_name", [
+    @pytest.mark.parametrize("edit, message", [
         (("batch_size = 25", "batch_size = 2.5"), "batch_size"),
         (("spread = 0.8", "spread = wide"), "spread"),
         (("finetune_epochs = 2", "finetune_epochs = 2\nint8 = maybe"), "int8"),
         (("prune = 0.6,0.8", "prune = 0.6,x"), "prune"),
         (("hidden = 12", "hidden = 12,a"), "hidden"),
         (("max_epochs = 15\n", ""), "max_epochs"),
-    ], ids=["int", "float", "bool", "float_list", "int_list", "missing_train_key"])
-    def test_mistyped_or_missing_value(self, tmp_path, capsys, edit, field_name):
+        (("hidden = 12", "hidden = 0"), "hidden width"),
+        (("hidden = 12", "hidden = 8,-2"), "hidden width"),
+        (("learning_rate = 0.2", "learning_rate = -1"), "learning_rate must be positive"),
+        (("dropout = 0.0", "dropout = 1.5"), "dropout must be in"),
+        (("batch_size = 25", "batch_size = 0"), "batch_size must be positive"),
+        (("finetune_epochs = 2", "finetune_epochs = -3"), "finetune_epochs must be non-negative"),
+        (("finetune_epochs = 2", "finetune_epochs = 2\nfinetune_learning_rate = 0"),
+         "finetune_learning_rate must be positive"),
+    ], ids=["int", "float", "bool", "float_list", "int_list", "missing_train_key",
+            "hidden_zero", "hidden_negative", "learning_rate", "dropout", "batch_size",
+            "finetune_epochs", "finetune_learning_rate"])
+    def test_mistyped_or_missing_value(self, tmp_path, capsys, edit, message):
+        """A mistyped, missing or out-of-range value fails the parse, before any output."""
         assert edit[0] in GOOD
         text = GOOD.replace(*edit)
-        with pytest.raises(PlanError, match=field_name):
+        with pytest.raises(PlanError, match=message):
             parse_plan_text(text)
         plan_path = tmp_path / "plan.ini"
         plan_path.write_text(text, encoding="utf-8")
         assert cli.main(["--plan", str(plan_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and field_name in err[0]
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not (tmp_path / "o").exists()
 
     def test_dp_delta_rejected_at_parse_time(self):

@@ -21,7 +21,11 @@ drifts. The layers are
 - a logistic-regression fit (600 x 30, default hyperparameters);
 - ``kmeans_1d`` on 32,768 values with k = 8;
 - checkpoint save and load of a 64-256-128-10 model and of its 8-cluster
-  version.
+  version;
+- one training epoch of that model on 300 rows in batches of 32: plain
+  SGD, DP-SGD (clip 1, noise multiplier 0.5), and a constrained fine-tune
+  of each compression family (70 % pruned, int8 quantization-aware
+  training, 8 clusters).
 
 The environment record is taken after ``import compaudit``, which sets the
 BLAS thread variables, so it names the thread count the layers ran with.
@@ -80,6 +84,11 @@ def layers(tmp: Path) -> dict:
     weights = np.random.default_rng(4).normal(0.0, 0.05, 32768)
     model = nn.init_fcn([64, 256, 128, 10], seed=5)
     clustered = compress.cluster_weights(model, 8, seed=6)
+    pruned = compress.prune_l1(model, 0.7)
+    rng = np.random.default_rng(11)
+    xy = (rng.normal(size=(300, 64)), rng.integers(0, 10, 300))
+    epoch = nn.TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=1, seed=12)
+    dp = nn.DpConfig(clip_norm=1.0, noise_multiplier=0.5)
     paths = {"model": tmp / "model.json", "cluster": tmp / "cluster.json"}
     checkpoint.save_model(paths["model"], model)
     checkpoint.save_model(paths["cluster"], clustered)
@@ -92,6 +101,11 @@ def layers(tmp: Path) -> dict:
         "load_model_s": lambda: checkpoint.load_model(paths["model"]),
         "save_cluster_s": lambda: checkpoint.save_model(paths["cluster"], clustered),
         "load_cluster_s": lambda: checkpoint.load_model(paths["cluster"]),
+        "sgd_epoch_s": lambda: nn.train(model, xy, None, epoch),
+        "dpsgd_epoch_s": lambda: nn.train_dpsgd(model, xy, epoch, dp),
+        "finetune_prune70_s": lambda: compress.finetune_compressed(pruned, xy, None, epoch),
+        "qat_int8_s": lambda: compress.quantize_int8(model, "qat", train_set=xy, config=epoch),
+        "finetune_cluster8_s": lambda: compress.finetune_compressed(clustered, xy, None, epoch),
     }
 
 
