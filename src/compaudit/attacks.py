@@ -69,24 +69,27 @@ def modified_entropy(posteriors: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def calibrate_threshold(member_values: np.ndarray, nonmember_values: np.ndarray) -> float:
     """Threshold maximizing balanced accuracy of "member iff value < tau".
 
-    Exhaustive scan over midpoints of the sorted unique values; ties are
-    broken toward the smallest threshold. Both populations must be
-    non-empty.
+    Every midpoint of the sorted distinct values is a candidate, and ties
+    go to the smallest. Binary searches in the sorted populations count
+    the members below and the non-members at or above each candidate, and
+    the balanced accuracy is then computed as
+    ``threshold_balanced_accuracy`` computes it. Both populations must be
+    non-empty and finite.
     """
     mv = np.asarray(member_values, dtype=float).ravel()
     nv = np.asarray(nonmember_values, dtype=float).ravel()
     if mv.size == 0 or nv.size == 0:
         raise InputError("calibration needs both populations")
+    if not (np.all(np.isfinite(mv)) and np.all(np.isfinite(nv))):
+        raise InputError("calibration values must be finite")
     uniq = np.unique(np.concatenate([mv, nv]))
     if uniq.size == 1:
         return float(uniq[0])
     candidates = (uniq[1:] + uniq[:-1]) / 2.0
-    best_tau, best_ba = candidates[0], -1.0
-    for tau in candidates:
-        ba = threshold_balanced_accuracy(mv, nv, tau)
-        if ba > best_ba:
-            best_tau, best_ba = tau, ba
-    return float(best_tau)
+    members_below = np.searchsorted(np.sort(mv), candidates)
+    nonmembers_above = nv.size - np.searchsorted(np.sort(nv), candidates)
+    ba = 0.5 * (members_below / mv.size + nonmembers_above / nv.size)
+    return float(candidates[np.argmax(ba)])
 
 
 def threshold_balanced_accuracy(member_values, nonmember_values, tau: float) -> float:

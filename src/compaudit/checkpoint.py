@@ -37,7 +37,7 @@ import numpy as np
 from .compress import CompressedModel
 from .constraints import KINDS
 from .errors import CheckpointError, InputError
-from .meta import LogisticMeta, MlpMeta, RandomForestMeta, Tree
+from .meta import TREE_DTYPES, LogisticMeta, MlpMeta, RandomForestMeta, Tree
 from .nn import FcnModel
 
 FORMAT = "compaudit-checkpoint"
@@ -112,8 +112,8 @@ def save_model(path, model: FcnModel | CompressedModel):
 def load_model(path) -> FcnModel | CompressedModel:
     """Read a model checkpoint; returns a CompressedModel when constrained.
 
-    A missing or malformed field, the constraint's included, raises
-    CheckpointError.
+    A missing or malformed field, the constraint's included, or weights
+    that break the constraint raise CheckpointError.
     """
     d = _load(path)
     if d.get("kind") != "fcn":
@@ -131,13 +131,12 @@ def load_model(path) -> FcnModel | CompressedModel:
         constraint = KINDS[c["kind"]].from_fields(c)
         if d["family"] != constraint.family:
             raise ValueError(f"family {d['family']!r} with constraint kind {constraint.kind!r}")
-        return CompressedModel(model, constraint, float(d["degree_tag"]))
-    except (KeyError, TypeError, ValueError, InputError) as exc:
+        compressed = CompressedModel(model, constraint, float(d["degree_tag"]))
+        if not compressed.verify():
+            raise ValueError(f"weights that break the {constraint.family} constraint")
+        return compressed
+    except (KeyError, IndexError, TypeError, ValueError, InputError) as exc:
         raise CheckpointError(f"{path}: malformed model ({exc!r})") from None
-
-
-_TREE_DTYPES = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
-                "value": float}
 
 
 def _tree(d: dict, n_features: int) -> Tree:
@@ -146,7 +145,7 @@ def _tree(d: dict, n_features: int) -> Tree:
     Children must come after their parent, as in preorder, so a walk from
     the root always ends at a leaf.
     """
-    tree = Tree(**{k: np.asarray(d[k], dtype=dt) for k, dt in _TREE_DTYPES.items()})
+    tree = Tree(**{k: np.asarray(d[k], dtype=dt) for k, dt in TREE_DTYPES.items()})
     n = tree.value.shape[0]
     if n == 0 or any(a.shape != (n,) for a in tree):
         raise ValueError("tree arrays differ in length")
@@ -209,6 +208,6 @@ def load_classifier(path):
             n_features = int(d["n_features"])
             trees = [_tree(t, n_features) for t in d["trees"]]
             return RandomForestMeta(trees, n_features, d["seed"], bool(d.get("bootstrap", True)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InputError) as exc:
         raise CheckpointError(f"{path}: malformed {kind} classifier ({exc!r})") from None
     raise CheckpointError(f"{path}: unknown classifier kind {kind!r}")

@@ -8,11 +8,13 @@ feature matrix X (one row per sample) and membership labels y in {0, 1}:
 - "rf": random forest of CART trees with Gini splits, per-node feature
   subsampling of sqrt(d), bootstrap bagging, and leaf-fraction
   probabilities averaged over trees; each tree is five flat node arrays
-  (``Tree``), as in scikit-learn's tree layout. Trees grow in lockstep
-  groups: every step searches the next node of each tree in the group in
-  one vectorized pass, while each tree draws its bootstrap and feature
-  subsets from its own generator in preorder, so the trees do not depend
-  on the group size;
+  (``Tree``), as in scikit-learn's tree layout. A forest grows its trees
+  in lockstep: every step searches the next node of each growing tree in
+  one vectorized pass, and a waiting tree joins once the step has room,
+  as others go deeper or finish. Each tree draws its bootstrap and feature
+  subsets from its own generator in preorder, so no tree depends on which
+  others grow beside it. Scoring walks every (tree, row) pair at once
+  over the trees' node arrays laid end to end;
 - "mlp": one-hidden-layer perceptron (ReLU, sigmoid output) trained with
   full-batch gradient descent on binary cross-entropy.
 
@@ -135,34 +137,75 @@ class Tree(NamedTuple):
     value: np.ndarray
 
 
-def _leaf_values(tree: Tree, X) -> np.ndarray:
-    """Each row's leaf value: all rows move down one level per gather."""
-    rows = np.arange(X.shape[0])
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        inner = tree.left[node] >= 0
-        if not inner.any():
-            return tree.value[node]
-        go_left = X[rows, tree.feature[node]] < tree.threshold[node]
-        node = np.where(inner, np.where(go_left, tree.left[node], tree.right[node]), node)
+# the dtype of each of a tree's node arrays, in ``Tree`` order
+TREE_DTYPES = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
+               "value": float}
 
 
 class RandomForestMeta:
-    """Bagged CART forest; probability = mean leaf member-fraction."""
+    """Bagged CART forest; probability = mean leaf member-fraction.
+
+    ``trees`` holds the trees as grown or loaded. Scoring uses their node
+    arrays laid end to end, with each tree's child indices shifted by the
+    tree's offset. ``_child[2 * i + go_left]`` is node i's child, and a
+    leaf is its own child on both sides, so ``_levels`` steps, the depth of
+    the deepest leaf, bring every (tree, row) pair to its leaf.
+    """
 
     kind = "rf"
 
     def __init__(self, trees: list[Tree], n_features: int, seed: int = 0, bootstrap: bool = True):
+        if not trees:
+            raise InputError("a forest needs at least one tree")
         self.trees = trees
         self.n_features = n_features
         self.seed = seed
         self.bootstrap = bootstrap
+        feature, self._threshold, left, right, self._value = map(np.concatenate, zip(*trees))
+        sizes = [t.value.size for t in trees]
+        start = np.cumsum(sizes) - sizes
+        leaf = left < 0
+        node = np.arange(leaf.size)
+        self._root = start.astype(np.int32)
+        self._feature = np.where(leaf, 0, feature).astype(np.int32)
+        shifted = np.stack([right, left]) + np.repeat(start, sizes)
+        self._child = np.where(leaf, node, shifted).T.astype(np.int32).ravel()
+        self._levels, level = 0, self._root
+        while (level := level[~leaf[level]]).size:
+            level = self._child[np.concatenate([2 * level, 2 * level + 1])]
+            self._levels += 1
+
+    def _leaf_values(self, X, trees, rows) -> np.ndarray:
+        """The leaf value of each (tree, row) pair.
+
+        All pairs move down one level per gather, into buffers allocated
+        once per walk.
+        """
+        node = self._root[trees]
+        at = rows * X.shape[1]
+        X = X.ravel()
+        feature, index = np.empty_like(node), np.empty(node.size, dtype=np.intp)
+        x, threshold = np.empty(node.size), np.empty(node.size)
+        go_left = np.empty(node.size, dtype=bool)
+        for _ in range(self._levels):
+            self._feature.take(node, out=feature)
+            np.add(at, feature, out=index)
+            X.take(index, out=x)
+            self._threshold.take(node, out=threshold)
+            np.less(x, threshold, out=go_left)
+            node <<= 1
+            node += go_left
+            node, feature = self._child.take(node, out=feature), node
+        return self._value[node]
 
     def score_proba(self, features: np.ndarray):
         X = _check_features(features, self.n_features)
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += _leaf_values(tree, X)
+        n = X.shape[0]
+        rows, acc = np.arange(n), np.zeros(n)
+        for trees in _walk_chunks(len(self.trees), n):
+            values = self._leaf_values(X, np.repeat(trees, n), np.tile(rows, trees.size))
+            for v in values.reshape(trees.size, n):  # tree by tree, in order
+                acc += v
         return acc / len(self.trees)
 
 
@@ -170,12 +213,28 @@ def _tree_seeds(seed: int, n_trees: int):
     return np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF).spawn(n_trees)
 
 
-# The (row, candidate column) cells that one growth step may search. Trees
-# join a group while the cells of their roots, the largest nodes they will
-# search, fit under this cap. A step needs 55 to 85 bytes of working memory
-# a cell, so the cap holds it to a few megabytes whatever the forest's
-# size; a smaller cap means more, smaller steps and a slower fit.
+# The (tree, row) pairs that one forest walk may move: a forest is walked
+# a few dozen trees at a time, so that a walk's buffers stay in cache.
+_WALK_PAIRS = 8192
+
+
+def _walk_chunks(n_trees: int, n_rows: int):
+    """Consecutive ranges of tree indices, each of at most ``_WALK_PAIRS`` (tree, row) pairs."""
+    step = max(1, _WALK_PAIRS // max(n_rows, 1))
+    for t in range(0, n_trees, step):
+        yield np.arange(t, min(t + step, n_trees), dtype=np.int32)
+
+
+# The (row, candidate column) cells that one growth step may search. A
+# waiting tree joins a step while the step's cells plus those of the
+# tree's root, the largest node it will search, fit under this cap. A step
+# needs 55 to 85 bytes of working memory a cell, so the cap holds it to a
+# few megabytes whatever the forest's size; a smaller cap means more,
+# smaller steps and a slower fit.
 _STEP_CELLS = 32768
+
+# How many feature subsets a growing tree draws at a time.
+_SUBSET_DRAWS = 32
 
 
 def _column_ranks(X):
@@ -193,89 +252,105 @@ def _column_ranks(X):
 
 
 def _fit_rf(X, y, hyper: RfHyper, seed: int) -> RandomForestMeta:
-    n, d = X.shape
-    n_sub = max(1, int(np.floor(np.sqrt(d))))
+    n_sub = max(1, int(np.floor(np.sqrt(X.shape[1]))))
     ranks, values = _column_ranks(X)
-    trees, group, cells = [], [], 0
-    for tree_seed in _tree_seeds(seed, hyper.n_trees):
-        rng = np.random.default_rng(tree_seed)
-        if hyper.bootstrap:
-            counts = np.bincount(rng.integers(0, n, n), minlength=n)
-        else:
-            counts = np.ones(n, dtype=np.int64)
-        rows = np.flatnonzero(counts)
-        if group and cells + rows.size * n_sub > _STEP_CELLS:
-            trees += _grow_lockstep(X, y, ranks, values, group, hyper, n_sub)
-            group, cells = [], 0
-        group.append((rng, rows, counts[rows]))
-        cells += rows.size * n_sub
-    trees += _grow_lockstep(X, y, ranks, values, group, hyper, n_sub)
-    return RandomForestMeta(trees, d, seed, bootstrap=hyper.bootstrap)
+    trees = _grow_lockstep(X, y, ranks, values, _tree_seeds(seed, hyper.n_trees), hyper, n_sub)
+    return RandomForestMeta(trees, X.shape[1], seed, bootstrap=hyper.bootstrap)
 
 
-def _grow_lockstep(X, y, ranks, values, group, hyper: RfHyper, n_sub) -> list[Tree]:
-    """Grow the trees of ``group`` together, depth-first, left child first.
+def _grow_lockstep(X, y, ranks, values, seeds, hyper: RfHyper, n_sub) -> list[Tree]:
+    """Grow one tree per seed, all in lockstep, each depth-first, left child first.
 
-    ``group`` holds each tree's (rng, distinct bootstrap rows, their
-    multiplicities). Each tree pops nodes from its own stack in preorder,
-    so it draws its feature subsets from its own rng in the order of a
-    tree grown alone. A step advances every tree to its next node that
-    needs a split search and searches those nodes together. The distinct
-    rows of all trees sit in one buffer and a node is a range of it; a
-    split reorders the range so that the left child's rows come first. A
-    stack entry is (range start, range end, row count, member count,
-    depth, parent node, whether the node is the parent's left child),
-    where counts include multiplicities.
+    Each tree draws its bootstrap and then its feature subsets from its own
+    generator and pops nodes from its own stack in preorder, so it is the
+    tree it would be if grown alone. A step advances every growing tree to
+    its next node that needs a split search and searches those nodes
+    together. Trees join in seed order: the next one joins a step while the
+    step has no node yet or the step's cells plus its root's fit under
+    ``_STEP_CELLS``, so trees join as others go deeper or finish.
+
+    A growing tree's distinct bootstrap rows and their row and member
+    multiplicities fill a slot of n entries in buffers that grow by
+    doubling, and a node is a range of its slot; a split reorders the range
+    so that the left child's rows come first. A finished tree frees its
+    slot for one that joins later. A stack entry is (range start, range
+    end, row count, member count, depth, parent node, whether the node is
+    the parent's left child), where counts include multiplicities.
     """
-    rows = np.concatenate([r for _, r, _ in group]).astype(np.int32)
-    w = np.concatenate([m for _, _, m in group]).astype(np.int32)
-    wy = (w * y[rows]).astype(np.int32)
-    buf = np.arange(rows.size)
-    stacks, built, start = [], [], 0
-    for _, r, m in group:
-        end = start + r.size
-        stacks.append([(start, end, int(m.sum()), int(wy[start:end].sum()), 0, -1, True)])
-        built.append(([], [], [], [], []))
-        start = end
-    d = X.shape[1]
-    active = list(range(len(group)))
-    while active:
-        popped = []
-        for t in active:
-            stack, (feature, threshold, left, right, value) = stacks[t], built[t]
-            while stack:
-                lo, hi, n, p, depth, parent, is_left = stack.pop()
-                node = len(value)
-                if parent >= 0:
-                    (left if is_left else right)[parent] = node
-                feature.append(-1)
-                threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                value.append(p / n)
-                if depth < hyper.max_depth and n >= 2 * hyper.min_leaf and 0 < p < n:
-                    feats = group[t][0].permutation(d)[:n_sub]
-                    popped.append((t, node, lo, hi, n, p, depth, feats))
-                    break
+    n, d = X.shape
+    rows, w, wy, buf = (np.empty(0, dtype=np.int32) for _ in range(4))
+    trees, growing, free = [None] * len(seeds), {}, []
+    joined, drawn = 0, None
+    deck = np.tile(np.arange(d), (_SUBSET_DRAWS, 1))
+
+    def advance(t):
+        """Pop tree t's nodes up to the next one to search; finish the tree if none is left."""
+        nonlocal cells
+        rng, stack, built, slot, subsets = growing[t]
+        feature, threshold, left, right, value = built
+        while stack:
+            lo, hi, n_node, p, depth, parent, is_left = stack.pop()
+            node = len(value)
+            if parent >= 0:
+                (left if is_left else right)[parent] = node
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(p / n_node)
+            if depth < hyper.max_depth and n_node >= 2 * hyper.min_leaf and 0 < p < n_node:
+                if not subsets:
+                    # ``permuted`` shuffles each row with the draws that successive
+                    # ``rng.permutation(d)`` calls make, so the rows are the tree's
+                    # next permutations in order; the ones left when the tree
+                    # finishes are never used. Only the candidates are kept.
+                    block = rng.permuted(deck, axis=1)[::-1, :n_sub].astype(np.int32)
+                    subsets.extend(block)
+                popped.append((t, node, lo, hi, n_node, p, depth, subsets.pop()))
+                cells += (hi - lo) * n_sub
+                return
+        trees[t] = Tree(*(np.array(a, dtype=dt) for a, dt in zip(built, TREE_DTYPES.values())))
+        free.append(slot)
+        del growing[t]
+
+    while growing or joined < len(seeds):
+        popped, cells = [], 0
+        for t in list(growing):
+            advance(t)
+        while joined < len(seeds):
+            if drawn is None:
+                rng = np.random.default_rng(seeds[joined])
+                if hyper.bootstrap:
+                    counts = np.bincount(rng.integers(0, n, n), minlength=n)
+                else:
+                    counts = np.ones(n, dtype=np.int64)
+                r = np.flatnonzero(counts)
+                drawn = (rng, r, counts[r])
+            rng, r, m = drawn
+            if popped and cells + r.size * n_sub > _STEP_CELLS:
+                break
+            if not free:  # double the slots
+                slots = rows.size // n
+                rows, w, wy, buf = (np.concatenate([a, np.empty(max(slots, 1) * n, np.int32)])
+                                    for a in (rows, w, wy, buf))
+                free += range(rows.size // n - 1, slots - 1, -1)
+            slot = free.pop()
+            lo, hi = slot * n, slot * n + r.size
+            rows[lo:hi], w[lo:hi], wy[lo:hi], buf[lo:hi] = r, m, m * y[r], np.arange(lo, hi)
+            stack = [(lo, hi, int(m.sum()), int(wy[lo:hi].sum()), 0, -1, True)]
+            growing[joined] = (rng, stack, ([], [], [], [], []), slot, [])
+            advance(joined)
+            joined, drawn = joined + 1, None
         if popped:
             for k, f, thr, mid, n_left, p_left in zip(*_split_step(
                 X, ranks, values, buf, rows, w, wy, popped, hyper.min_leaf
             )):
-                t, node, lo, hi, n, p, depth, _ = popped[k]
-                built[t][0][node], built[t][1][node] = f, thr
-                stacks[t].append((mid, hi, n - n_left, p - p_left, depth + 1, node, False))
-                stacks[t].append((lo, mid, n_left, p_left, depth + 1, node, True))
-        active = [t for t in active if stacks[t]]
-    return [
-        Tree(
-            np.array(feature, dtype=np.int64),
-            np.array(threshold, dtype=float),
-            np.array(left, dtype=np.int64),
-            np.array(right, dtype=np.int64),
-            np.array(value, dtype=float),
-        )
-        for feature, threshold, left, right, value in built
-    ]
+                t, node, lo, hi, n_node, p, depth, _ = popped[k]
+                _, stack, built, _, _ = growing[t]
+                built[0][node], built[1][node] = f, thr
+                stack.append((mid, hi, n_node - n_left, p - p_left, depth + 1, node, False))
+                stack.append((lo, mid, n_left, p_left, depth + 1, node, True))
+    return trees
 
 
 def _gini(members, rows):
@@ -384,19 +459,23 @@ def out_of_bag_proba(clf: RandomForestMeta, X: np.ndarray) -> np.ndarray:
 
     ``X`` is the training matrix in fitting order; the bootstrap draws are
     replayed from the forest's seed. A row sits out of about e^-1 of the
-    trees, so its estimate averages that share of the forest.
+    trees, so its estimate averages that share of the forest. The walk
+    moves only the left-out (tree, row) pairs, and each row's sum adds its
+    trees' values in tree order.
     """
     if not clf.bootstrap:
         raise InputError("out-of-bag scores need a bagged forest")
     X = _check_features(X, clf.n_features)
     n = X.shape[0]
-    total, count = np.zeros(n), np.zeros(n)
-    for tree, tree_seed in zip(clf.trees, _tree_seeds(clf.seed, len(clf.trees))):
-        left_out = np.ones(n, dtype=bool)
-        left_out[np.random.default_rng(tree_seed).integers(0, n, n)] = False
-        rows = np.flatnonzero(left_out)
-        total[rows] += _leaf_values(tree, X[rows])
-        count[rows] += 1
+    total, count = np.zeros(n), np.zeros(n, dtype=np.int64)
+    seeds = _tree_seeds(clf.seed, len(clf.trees))
+    for trees in _walk_chunks(len(clf.trees), n):
+        left_out = np.ones((trees.size, n), dtype=bool)
+        for out, t in zip(left_out, trees):
+            out[np.random.default_rng(seeds[t]).integers(0, n, n)] = False
+        tree_of, rows = np.nonzero(left_out)
+        np.add.at(total, rows, clf._leaf_values(X, trees[tree_of], rows))
+        count += np.bincount(rows, minlength=n)
     if np.any(count == 0):
         raise DegenerateDataError("a training row is in every bootstrap sample")
     return total / count

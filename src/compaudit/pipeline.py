@@ -324,8 +324,8 @@ def _attack_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
             continue
         try:
             scores, extra = _run_attack_cell(plan, dataset, split, pair, rep, attack_key, target_key)
-        except DependencyError:
-            raise
+        except (CheckpointError, DependencyError):
+            raise  # a missing or damaged model is an input of every cell that reads it
         except CompauditError as exc:  # per-cell isolation
             failures.append({"rep": rep, "cell": cell, "error": str(exc)})
             continue

@@ -76,6 +76,50 @@ class TestCalibrateThreshold:
         with pytest.raises(InputError):
             attacks.calibrate_threshold(np.array([]), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(InputError):
+            attacks.calibrate_threshold(np.array([0.1, bad]), np.ones(3))
+        with pytest.raises(InputError):
+            attacks.calibrate_threshold(np.ones(3), np.array([bad, 0.1]))
+
+    @pytest.mark.parametrize("kind", ["continuous", "rounded", "clamped"])
+    def test_matches_the_scan_over_every_midpoint(self, kind):
+        rng = np.random.default_rng({"continuous": 3, "rounded": 4, "clamped": 5}[kind])
+        for _ in range(100):
+            member = rng.normal(size=rng.integers(1, 40))
+            nonmember = rng.normal(loc=rng.normal(), size=rng.integers(1, 40))
+            if kind == "rounded":  # ties within and across the populations
+                member, nonmember = np.round(member, 1), np.round(nonmember, 1)
+            elif kind == "clamped":  # runs of one value at each end, as clamped losses give
+                member, nonmember = np.clip(member, -0.5, 0.5), np.clip(nonmember, -0.5, 0.5)
+            assert attacks.calibrate_threshold(member, nonmember) == scan_threshold(
+                member, nonmember)
+
+    def test_adjacent_floats(self):
+        # the midpoint of 1 and the next float rounds down to 1
+        up = np.nextafter(1.0, 2.0)
+        for member, nonmember in [([1.0], [up]), ([up], [1.0]), ([1.0, up], [up]),
+                                  ([0.0, 1.0], [up, 1.0])]:
+            member, nonmember = np.array(member), np.array(nonmember)
+            assert attacks.calibrate_threshold(member, nonmember) == scan_threshold(
+                member, nonmember)
+
+
+def scan_threshold(member_values, nonmember_values):
+    """The first midpoint of the sorted distinct values with the best balanced accuracy."""
+    mv = np.asarray(member_values, dtype=float).ravel()
+    nv = np.asarray(nonmember_values, dtype=float).ravel()
+    uniq = np.unique(np.concatenate([mv, nv]))
+    if uniq.size == 1:
+        return float(uniq[0])
+    best_tau, best_ba = None, -1.0
+    for tau in (uniq[1:] + uniq[:-1]) / 2.0:
+        ba = attacks.threshold_balanced_accuracy(mv, nv, tau)
+        if ba > best_ba:
+            best_tau, best_ba = tau, ba
+    return float(best_tau)
+
 
 class TestNrMetadata:
     def test_sort_without_label(self):

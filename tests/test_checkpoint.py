@@ -93,6 +93,24 @@ class TestModelCheckpoints:
         assert str(p) in str(err.value)
 
 
+    @pytest.mark.parametrize("kind, edit", [
+        ("prune_mask", lambda d: d["weights"][0][0].__setitem__(
+            d["constraint"]["masks"][0][0].index(0), 1.0)),
+        ("fake_quant", lambda d: d["weights"][0][0].__setitem__(0, d["weights"][0][0][0] * 1.1)),
+        ("cluster_assignment", lambda d: d["weights"][0][0].__setitem__(0, 1e3)),
+        ("cluster_assignment", lambda d: d["constraint"]["assignments"][0].__setitem__(0, -1000)),
+    ], ids=["masked_weight", "off_grid", "off_centroid", "assignment_out_of_range"])
+    def test_weights_that_break_the_constraint_are_checkpoint_error(self, tmp_path, kind, edit):
+        p = tmp_path / "cm.json"
+        checkpoint.save_model(p, COMPRESSIONS[kind](sample_model()))
+        d = json.loads(p.read_text())
+        edit(d)
+        p.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="malformed model") as err:
+            checkpoint.load_model(p)
+        assert str(p) in str(err.value)
+
+
 class TestClassifierCheckpoints:
     def fit_data(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -144,6 +162,7 @@ class TestClassifierCheckpoints:
             [{"feature": [7, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
               "right": [2, -1, -1], "value": [0.5, 0.0, 1.0]}],  # no feature 7
             "not a list of trees",
+            [],  # a forest of no trees
         ],
     )
     def test_malformed_forest_rejected(self, tmp_path, trees):

@@ -312,23 +312,117 @@ class TestLockstepGrowth:
         loaded = checkpoint.load_classifier(tmp_path / "rf.json")
         assert loaded.trees[0].value.tolist() == tree.value.tolist()
 
-    def test_groups_of_uneven_size(self, monkeypatch):
-        groups = []
-        grow = meta._grow_lockstep
+    def test_trees_join_as_others_finish_under_the_step_cap(self, monkeypatch):
+        steps = []  # each step's (tree, range start, range end) triples and n_sub
+        split_step = meta._split_step
 
-        def counting(X, y, ranks, values, group, hyper, n_sub):
-            groups.append(len(group))
-            return grow(X, y, ranks, values, group, hyper, n_sub)
+        def recording(X, ranks, values, buf, rows, w, wy, popped, min_leaf):
+            steps.append(([(q[0], q[2], q[3]) for q in popped], popped[0][7].size))
+            return split_step(X, ranks, values, buf, rows, w, wy, popped, min_leaf)
 
-        monkeypatch.setattr(meta, "_grow_lockstep", counting)
+        monkeypatch.setattr(meta, "_split_step", recording)
         monkeypatch.setattr(meta, "_STEP_CELLS", 1000)
         X, y = growth_data("ties", n=120, seed=3)
-        hyper = meta.RfHyper(n_trees=23)
+        hyper = meta.RfHyper(n_trees=40)
         clf = meta.fit("rf", X, y, hyper=hyper, seed=8)
-        assert len(groups) > 2 and sum(groups) == 23 and 23 % groups[0] != 0
         ref, _ = reference_forest(X, y, hyper, 8)
         self.assert_same_forest(clf, ref)
         assert np.array_equal(meta.out_of_bag_proba(clf, X), meta.out_of_bag_proba(ref, X))
+
+        first, last = {}, {}
+        for s, (nodes, n_sub) in enumerate(steps):
+            if len(nodes) > 1:
+                assert sum(hi - lo for _, lo, hi in nodes) * n_sub <= 1000
+            for t, _, _ in nodes:
+                first.setdefault(t, s)
+                last[t] = s
+        # some tree joins while an earlier tree still grows and after another has finished
+        assert any(
+            any(last[u] < first[v] for u in last) and any(first[w] < first[v] <= last[w] for w in last)
+            for v in first
+        )
+
+
+def reference_leaf_values(tree, X):
+    """Each row's leaf value in one tree: all rows move down one level per gather."""
+    rows = np.arange(X.shape[0])
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        inner = tree.left[node] >= 0
+        if not inner.any():
+            return tree.value[node]
+        go_left = X[rows, tree.feature[node]] < tree.threshold[node]
+        node = np.where(inner, np.where(go_left, tree.left[node], tree.right[node]), node)
+
+
+def reference_scores(clf, X):
+    """Scores summed tree by tree, each tree walked on its own."""
+    acc = np.zeros(X.shape[0])
+    for tree in clf.trees:
+        acc += reference_leaf_values(tree, X)
+    return acc / len(clf.trees)
+
+
+def reference_out_of_bag(clf, X):
+    """Out-of-bag scores summed tree by tree over each tree's left-out rows."""
+    n = X.shape[0]
+    total, count = np.zeros(n), np.zeros(n)
+    for tree, seq in zip(clf.trees, np.random.SeedSequence(clf.seed).spawn(len(clf.trees))):
+        left_out = np.ones(n, dtype=bool)
+        left_out[np.random.default_rng(seq).integers(0, n, n)] = False
+        rows = np.flatnonzero(left_out)
+        total[rows] += reference_leaf_values(tree, X[rows])
+        count[rows] += 1
+    return total / count
+
+
+class TestFlatWalk:
+    """One walk over the whole forest against each tree walked on its own."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "discrete", "one_column", "adjacent",
+                                      "constant"])
+    def test_scores_match_the_per_tree_walk(self, kind):
+        X, y = growth_data(kind)
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=40), seed=5)
+        Xt, _ = growth_data(kind, n=70, seed=1)
+        assert np.array_equal(meta.score_proba(clf, Xt), reference_scores(clf, Xt))
+        assert np.array_equal(meta.out_of_bag_proba(clf, X), reference_out_of_bag(clf, X))
+
+    def test_one_node_trees(self):
+        # a bootstrap of these four rows draws no non-member about a third of the time
+        X, _ = growth_data("continuous", n=4)
+        y = np.array([0, 1, 1, 1])
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=40), seed=3)
+        assert any(t.value.size == 1 for t in clf.trees)
+        assert any(t.value.size > 1 for t in clf.trees)
+        Xt = np.random.default_rng(2).normal(size=(9, X.shape[1]))
+        assert np.array_equal(meta.score_proba(clf, Xt), reference_scores(clf, Xt))
+        assert np.array_equal(meta.out_of_bag_proba(clf, X), reference_out_of_bag(clf, X))
+
+    def test_a_forest_of_roots(self):
+        X, y = growth_data("continuous", n=30)
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=12, max_depth=0), seed=4)
+        assert all(t.value.size == 1 for t in clf.trees)
+        assert np.array_equal(meta.score_proba(clf, X), reference_scores(clf, X))
+        assert np.array_equal(meta.out_of_bag_proba(clf, X), reference_out_of_bag(clf, X))
+
+    def test_walks_of_many_chunks(self, monkeypatch):
+        # 7 pairs a walk: one tree a chunk, and a chunk of 3 rows per tree out of bag
+        monkeypatch.setattr(meta, "_WALK_PAIRS", 7)
+        X, y = growth_data("ties", n=60)
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=9), seed=6)
+        assert np.array_equal(meta.score_proba(clf, X[:3]), reference_scores(clf, X[:3]))
+        assert np.array_equal(meta.score_proba(clf, X), reference_scores(clf, X))
+        assert np.array_equal(meta.out_of_bag_proba(clf, X), reference_out_of_bag(clf, X))
+
+    def test_no_rows(self):
+        X, y = growth_data("continuous", n=30)
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=3), seed=4)
+        assert meta.score_proba(clf, np.empty((0, X.shape[1]))).shape == (0,)
+
+    def test_a_forest_needs_a_tree(self):
+        with pytest.raises(InputError):
+            meta.RandomForestMeta([], 3)
 
 
 class TestMlp:

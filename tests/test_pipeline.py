@@ -375,6 +375,33 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "malformed model" in err[0] and "biases" in err[0]
 
+    @pytest.mark.parametrize("edit, message", [
+        ("masked_weight", "weights that break the prune constraint"),
+        ("dropped_mask", "malformed model"),
+    ])
+    def test_pruned_model_off_its_masks_exit_two(self, tmp_path, capsys, edit, message):
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(MINIMAL, encoding="utf-8")
+        out = tmp_path / "out"
+        for stage in ("train", "compress"):
+            assert cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", stage]) == 0
+        model = out / "checkpoints" / "models" / "rep0" / "prune70_victim.json"
+        d = json.loads(model.read_text())
+        if edit == "masked_weight":
+            masks = d["constraint"]["masks"]
+            i, j = next((i, j) for i, row in enumerate(masks[0]) for j, keep in enumerate(row)
+                        if not keep)
+            assert d["weights"][0][i][j] == 0.0
+            d["weights"][0][i][j] = 1.0
+        else:
+            del d["constraint"]["masks"][1]
+        model.write_text(json.dumps(d), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", "attack"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0] and "prune70_victim.json" in err[0]
+
     @pytest.mark.parametrize("damaged", [
         "checkpoints/scores/rep0/nr_loss__prune70.json",
         "checkpoints/metrics/rep0/nr_loss__prune70.json",

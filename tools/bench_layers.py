@@ -25,7 +25,18 @@ drifts. The layers are
 - one training epoch of that model on 300 rows in batches of 32: plain
   SGD, DP-SGD (clip 1, noise multiplier 0.5), and a constrained fine-tune
   of each compression family (70 % pruned, int8 quantization-aware
-  training, 8 clusters).
+  training, 8 clusters);
+- a 300-tree random-forest fit on 400 rows of 45 sorted posteriors next to
+  a 45-class one-hot label (90 columns), that forest's scores on 200 new
+  rows, and its out-of-bag scores on the 400 training rows;
+- threshold calibration on 300 member and 300 non-member values.
+
+Each sample records wall time (``samples``, ``median``) and the process's
+CPU time (``cpu_samples``, ``cpu_median``). On a shared machine the wall
+time of code that did not change can drift between runs by as much as
+the gaps being measured; CPU time leaves out the time the process waited
+for a core. ``parent_over_change`` holds the ratios of wall medians and
+``parent_over_change_cpu`` those of CPU medians.
 
 The environment record is taken after ``import compaudit``, which sets the
 BLAS thread variables, so it names the thread count the layers ran with.
@@ -76,6 +87,17 @@ def stacker_rows(n, d, seed):
     return X, y
 
 
+def posterior_rows(n, classes, seed):
+    """Sorted posteriors next to one-hot labels; members are a little more confident."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n)
+    logits = rng.normal(size=(n, classes)) * (2.0 + 0.3 * y[:, None])
+    P = np.exp(logits)
+    P /= P.sum(axis=1, keepdims=True)
+    onehot = np.eye(classes)[rng.integers(0, classes, n)]
+    return np.concatenate([-np.sort(-P, axis=1), onehot], axis=1), y
+
+
 def layers(tmp: Path) -> dict:
     """Each layer's name and a call that runs it once."""
     X1, y1 = stacker_rows(400, 10, 1)
@@ -89,6 +111,12 @@ def layers(tmp: Path) -> dict:
     xy = (rng.normal(size=(300, 64)), rng.integers(0, 10, 300))
     epoch = nn.TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=1, seed=12)
     dp = nn.DpConfig(clip_norm=1.0, noise_multiplier=0.5)
+    X4, y4 = posterior_rows(400, 45, 13)
+    X5, _ = posterior_rows(200, 45, 14)
+    forest_hyper = meta.RfHyper(n_trees=300)
+    forest = meta.fit("rf", X4, y4, forest_hyper, 15)
+    calibration = np.random.default_rng(16)
+    member, nonmember = calibration.normal(size=300), calibration.normal(0.3, 1.0, size=300)
     paths = {"model": tmp / "model.json", "cluster": tmp / "cluster.json"}
     checkpoint.save_model(paths["model"], model)
     checkpoint.save_model(paths["cluster"], clustered)
@@ -106,17 +134,23 @@ def layers(tmp: Path) -> dict:
         "finetune_prune70_s": lambda: compress.finetune_compressed(pruned, xy, None, epoch),
         "qat_int8_s": lambda: compress.quantize_int8(model, "qat", train_set=xy, config=epoch),
         "finetune_cluster8_s": lambda: compress.finetune_compressed(clustered, xy, None, epoch),
+        "rf_fit_s": lambda: meta.fit("rf", X4, y4, forest_hyper, 15),
+        "rf_score_s": lambda: meta.score_proba(forest, X5),
+        "rf_oob_s": lambda: meta.out_of_bag_proba(forest, X4),
+        "calibrate_s": lambda: attacks.calibrate_threshold(member, nonmember),
     }
 
 
-def measure(run) -> list:
+def measure(run) -> tuple[list, list]:
+    """Wall and CPU seconds of ``REPEATS`` runs after a warm-up."""
     run()
-    samples = []
+    wall, cpu = [], []
     for _ in range(REPEATS):
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), time.process_time()
         run()
-        samples.append(time.perf_counter() - start)
-    return samples
+        wall.append(time.perf_counter() - start)
+        cpu.append(time.process_time() - start_cpu)
+    return wall, cpu
 
 
 def main(argv=None) -> int:
@@ -132,15 +166,20 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in layers(Path(tmp)).items():
             fig = side["layers"].setdefault(name, {"samples": []})
-            fig["samples"] += measure(run)
+            wall, cpu = measure(run)
+            fig["samples"] += wall
+            fig["cpu_samples"] = fig.get("cpu_samples", []) + cpu
             fig["median"] = statistics.median(fig["samples"])
-            print(f"{name}: {fig['median']:.4f} s over {len(fig['samples'])}", file=sys.stderr)
+            fig["cpu_median"] = statistics.median(fig["cpu_samples"])
+            print(f"{name}: {fig['median']:.4f} s wall, {fig['cpu_median']:.4f} s CPU over "
+                  f"{len(fig['samples'])}", file=sys.stderr)
     if "parent" in sides and "change" in sides:
-        bench["parent_over_change"] = {
-            name: sides["parent"]["layers"][name]["median"] / fig["median"]
-            for name, fig in sides["change"]["layers"].items()
-            if name in sides["parent"]["layers"]
-        }
+        parent, change = sides["parent"]["layers"], sides["change"]["layers"]
+        for key, figure in (("parent_over_change", "median"),
+                            ("parent_over_change_cpu", "cpu_median")):
+            bench[key] = {name: parent[name][figure] / fig[figure]
+                          for name, fig in change.items()
+                          if figure in fig and figure in parent.get(name, {})}
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
