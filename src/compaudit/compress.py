@@ -6,9 +6,12 @@ weights exactly satisfy its family's recorded constraint (``constraints``):
 - magnitude pruning: the globally smallest-magnitude weights are zeroed
   and masked (biases are never pruned);
 - symmetric int8 quantization: per-matrix scale s = max|w| / 127, weights
-  stored dequantized as q * s, optionally after fake-quant fine-tuning;
-- weight clustering: per-matrix 1-D k-means with shared centroid values
-  and cluster-aware gradient aggregation during fine-tuning.
+  stored dequantized as q * s;
+- weight clustering: per-matrix 1-D k-means with shared centroid values.
+
+Each function only compresses; ``finetune_compressed`` then trains any of
+them under its constraint, which for a freshly quantized model is
+quantization-aware training (QAT) of its float weights.
 
 ``degree_tag`` orders models within one family by compression strength:
 pruning uses the sparsity percentage (60 < 70 < 80 < 90), quantization is
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .constraints import Clustered, Pruned, Quantized, fake_quantize, quant_scale
+from .constraints import Clustered, Pruned, Quantized, fake_quantize
 from .errors import InputError, TrainingError
 
 
@@ -74,35 +77,17 @@ def prune_l1(model: nn.FcnModel, sparsity: float) -> CompressedModel:
     return CompressedModel(new, Pruned(masks), sparsity * 100.0)
 
 
-def quantize_int8(
-    model: nn.FcnModel,
-    mode: str = "calibrate",
-    train_set=None,
-    config: nn.TrainConfig | None = None,
-    dp: nn.DpConfig | None = None,
-) -> CompressedModel:
-    """Symmetric per-matrix int8 quantization.
+def quantize_int8(model: nn.FcnModel) -> CompressedModel:
+    """Symmetric per-matrix int8 quantization: snap the weights onto the grid.
 
-    "calibrate" snaps weights straight onto the grid. "qat" first runs
-    fake-quant fine-tuning (forward passes use the quantized weights,
-    gradients flow straight through to float latents), then re-quantizes;
-    with ``dp`` set the fine-tuning steps are DP-SGD. An all-zero matrix
-    keeps the degenerate scale 1 and stays zero.
+    An all-zero matrix keeps the degenerate scale 1 and stays zero. The
+    input's weight arrays (not copies) become the constraint's latents, the
+    floats that ``finetune_compressed`` then trains (QAT).
     """
-    if mode not in ("calibrate", "qat"):
-        raise InputError("mode must be 'calibrate' or 'qat'")
-    base = model
-    if mode == "qat":
-        if train_set is None or config is None:
-            raise InputError("qat mode requires train_set and config")
-        seed_constraint = Quantized([quant_scale(w) for w in model.weights])
-        if dp is None:
-            base = nn.train(model, train_set, None, config, constraint=seed_constraint)
-        else:
-            base = nn.train_dpsgd(model, train_set, config, dp, constraint=seed_constraint)
-    new = base.copy()
-    new.weights = [fake_quantize(w)[0] for w in base.weights]
-    return CompressedModel(new, Quantized([quant_scale(w) for w in base.weights]), 8.0)
+    snapped = [fake_quantize(w) for w in model.weights]
+    new = model.copy()
+    new.weights = [w for w, _ in snapped]
+    return CompressedModel(new, Quantized([s for _, s in snapped], list(model.weights)), 8.0)
 
 
 def kmeans_1d(
@@ -214,8 +199,8 @@ def finetune_compressed(
     privately trained model is not un-defended by its fine-tuning stage).
     Pruned positions stay exactly zero, clustered layers move
     centroid-wise (gradient of a centroid is the sum over its member
-    weights), and fake-quant layers are re-quantized from their trained
-    latents.
+    weights), and quantized layers train float latents through fake
+    quantization and get the scales of their trained weights.
     """
     if not cm.verify():
         raise InputError("compressed model violates its constraint")

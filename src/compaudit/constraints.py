@@ -11,7 +11,7 @@ off its constrained manifold.
 Biases are never constrained.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +37,10 @@ def quant_scale(w: np.ndarray) -> float:
 
 
 def fake_quantize(w: np.ndarray, scale: float | None = None) -> tuple[np.ndarray, float]:
-    """Snap a tensor onto the int8 grid, returning (q * s, s)."""
+    """Snap a tensor onto the int8 grid, returning (q * s, s); a zero is +0.0."""
     s = quant_scale(w) if scale is None else float(scale)
     q = np.clip(round_half_away(w / s), -QUANT_LEVELS, QUANT_LEVELS)
-    return q * s, s
+    return q * s + 0.0, s
 
 
 @dataclass
@@ -82,8 +82,8 @@ class Unconstrained:
 class Pruned(Unconstrained):
     """Boolean keep-masks shaped like each weight matrix, True at kept positions.
 
-    Masked gradients drive the update, and masked positions are set back
-    to exactly zero after it.
+    Masked positions are set back to exactly zero after every update, so
+    their gradients need no mask: their updates never survive the step.
     """
 
     prune_masks: list[np.ndarray]
@@ -100,9 +100,6 @@ class Pruned(Unconstrained):
     @classmethod
     def from_fields(cls, d):
         return cls([np.asarray(m, dtype=bool) for m in d["masks"]])
-
-    def gradients(self, dWs):
-        return [dW * m for dW, m in zip(dWs, self.prune_masks)]
 
     def project(self, params):
         for w, m in zip(params, self.prune_masks):
@@ -170,9 +167,13 @@ class Quantized(Unconstrained):
 
     Training keeps float latents and snaps them onto the grid of their own
     current scale for every forward pass; gradients flow straight through.
+    Training starts them from ``latents``, the float weights a model was
+    just quantized from, or else from the grid values, as for a loaded
+    checkpoint. Checkpoints and equality ignore ``latents``.
     """
 
     quant_scales: list[float]
+    latents: list[np.ndarray] | None = field(default=None, compare=False, repr=False)
     kind = "fake_quant"
     family = "quant"
 
@@ -193,6 +194,9 @@ class Quantized(Unconstrained):
 
     def refreshed(self, weights):
         return Quantized([quant_scale(w) for w in weights])
+
+    def parameters(self, weights):
+        return super().parameters(weights if self.latents is None else self.latents)
 
     def weights(self, params, shapes):
         return [fake_quantize(w)[0] for w in params]

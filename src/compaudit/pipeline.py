@@ -198,8 +198,8 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
         if not orig_path.exists():
             raise DependencyError(f"compress needs the train stage output {orig_path}")
         missing = [
-            key for key in plan.compression_keys()
-            if not (_model_dir(out, rep) / f"{key}_{role}.json").exists()
+            target for target in spec.targets()
+            if not (_model_dir(out, rep) / f"{target[0]}_{role}.json").exists()
         ]
         if not missing:
             continue
@@ -211,21 +211,18 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
                 seed=derive_seed(plan.seed_base, rep, "finetune", role),
             )
         train_xy = dataset.xy(train_idx)
-        for key in missing:
-            path = _model_dir(out, rep) / f"{key}_{role}.json"
+        for key, family, parameter in missing:
             seed = derive_seed(plan.seed_base, rep, "compress", role, key)
-            cfg = plan.train.config(seed, epochs=ft_epochs, lr=spec.finetune_learning_rate)
-            if key.startswith("prune"):
-                cm = compress.prune_l1(original, int(key[len("prune"):]) / 100.0)
-            elif key.startswith("cluster"):
-                cm = compress.cluster_weights(original, int(key[len("cluster"):]), seed=seed)
-            elif spec.int8_mode == "qat" and ft_epochs > 0:
-                cm = compress.quantize_int8(original, "qat", train_set=train_xy, config=cfg, dp=plan.dp)
+            if family == "prune":
+                cm = compress.prune_l1(original, parameter)
+            elif family == "cluster":
+                cm = compress.cluster_weights(original, parameter, seed=seed)
             else:
-                cm = compress.quantize_int8(original, "calibrate")
-            if key != "int8" and ft_epochs > 0:  # quantization fine-tunes inside its qat mode
+                cm = compress.quantize_int8(original)
+            if ft_epochs > 0 and (family != "quant" or spec.int8_mode == "qat"):
+                cfg = plan.train.config(seed, epochs=ft_epochs, lr=spec.finetune_learning_rate)
                 cm = compress.finetune_compressed(cm, train_xy, None, cfg, dp=plan.dp)
-            checkpoint.save_model(path, cm)
+            checkpoint.save_model(_model_dir(out, rep) / f"{key}_{role}.json", cm)
 
 
 def stage_compress(plan: ExperimentPlan, out: Path, workers: int = 1):

@@ -36,6 +36,10 @@ the plan leaves out keeps its field's default. ``plan.split`` is a
 ``plan.dp`` an ``nn.DpConfig`` or None (``plan.dp.noise_multiplier``),
 and ``[metrics]`` and ``[run]`` fill ``ExperimentPlan``'s own fields.
 
+With ``int8_mode = qat`` the int8 model is fine-tuned from its float
+weights like every other compressed model; ``calibrate`` leaves it snapped
+onto its grid.
+
 Target keys are "original", "prune<percent>", "int8", and
 "cluster<count>"; attack selections may reference only declared targets.
 A prune sparsity must be a whole percent (0.85, not 0.857), and no two
@@ -113,12 +117,11 @@ class CompressionSpec:
         if self.finetune_learning_rate is not None and self.finetune_learning_rate <= 0:
             raise InputError("finetune_learning_rate must be positive")
 
-    def target_keys(self) -> list[str]:
-        keys = [f"prune{int(round(s * 100))}" for s in self.prune]
-        if self.int8:
-            keys.append("int8")
-        keys += [f"cluster{n}" for n in self.clusters]
-        return keys
+    def targets(self) -> list[tuple[str, str, float | int | None]]:
+        """(key, family, sparsity or cluster count) of each compressed model."""
+        return ([(f"prune{int(round(s * 100))}", "prune", s) for s in self.prune]
+                + ([("int8", "quant", None)] if self.int8 else [])
+                + [(f"cluster{n}", "cluster", n) for n in self.clusters])
 
 
 @dataclass
@@ -153,7 +156,7 @@ class ExperimentPlan:
         return hashlib.sha256(self.raw_text.encode("utf-8")).hexdigest()
 
     def compression_keys(self) -> list[str]:
-        return self.compression.target_keys()
+        return [key for key, _, _ in self.compression.targets()]
 
     def nr_target_keys(self) -> list[str]:
         if self.attacks.nr_targets == ["all"]:
@@ -175,6 +178,11 @@ class ExperimentPlan:
             raise PlanError("repetitions must be >= 1")
         if self.workers < 1:
             raise PlanError("workers must be >= 1")
+        for s in self.compression.prune:  # before any key is built from it
+            if not 0.0 <= s <= 1.0:
+                raise PlanError(f"prune sparsity {s} outside [0, 1]")
+            if s != round(s * 100) / 100:
+                raise PlanError(f"prune sparsity {s} is not a whole percent")
         keys = self.compression_keys()
         declared = set(keys)
         sr_methods = [c.value for c in SrConstruction]
@@ -204,11 +212,6 @@ class ExperimentPlan:
         for key, size in vars(self.split).items():
             if size < 1:
                 raise PlanError(f"split size {key} must be >= 1")
-        for s in self.compression.prune:
-            if not 0.0 <= s <= 1.0:
-                raise PlanError(f"prune sparsity {s} outside [0, 1]")
-            if s != round(s * 100) / 100:
-                raise PlanError(f"prune sparsity {s} is not a whole percent")
         for n in self.compression.clusters:
             if n < 1:
                 raise PlanError(f"cluster count {n} must be >= 1")

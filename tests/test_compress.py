@@ -108,13 +108,40 @@ class TestQuantize:
             3.0,
         ]
 
-    def test_qat_mode_returns_grid_model(self):
+    def test_weights_that_round_to_zero_are_positive_zero(self):
+        m = model_from_weights([[-1.0, -1e-4, 0.5, -0.002]])
+        w = compress.quantize_int8(m).model.weights[0]
+        zeros = w[w == 0.0]
+        assert zeros.size == 2 and not np.any(np.signbit(zeros))
+
+    def test_latents_are_the_input_arrays_and_not_compared(self):
+        m = two_layer_model(seed=6)
+        cm = compress.quantize_int8(m)
+        assert all(a is b for a, b in zip(cm.constraint.latents, m.weights))
+        assert cm.constraint == constraints.Quantized(list(cm.constraint.quant_scales))
+
+    @pytest.mark.parametrize("dp", [None, nn.DpConfig(clip_norm=1.0, noise_multiplier=0.5)],
+                             ids=["sgd", "dpsgd"])
+    def test_finetune_of_fresh_int8_is_qat_from_the_floats(self, dp):
+        """The fine-tune equals fake-quant training of the float model, snapped."""
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 4))
         y = (X[:, 0] > 0).astype(int)
         m = two_layer_model(seed=6)
         cfg = nn.TrainConfig(learning_rate=0.05, batch_size=8, max_epochs=4, seed=2)
-        cm = compress.quantize_int8(m, mode="qat", train_set=(X, y), config=cfg)
+        seed_constraint = constraints.Quantized([constraints.quant_scale(w) for w in m.weights])
+        if dp is None:
+            ref = nn.train(m, (X, y), None, cfg, constraint=seed_constraint)
+        else:
+            ref = nn.train_dpsgd(m, (X, y), cfg, dp, constraint=seed_constraint)
+        cm = compress.finetune_compressed(compress.quantize_int8(m), (X, y), None, cfg, dp=dp)
+        assert cm.constraint.latents is None
+        for w, ref_w, s in zip(cm.model.weights, ref.weights, cm.constraint.quant_scales,
+                               strict=True):
+            assert np.array_equal(w, constraints.fake_quantize(ref_w)[0])
+            assert s == constraints.quant_scale(ref_w)
+        for b, ref_b in zip(cm.model.biases, ref.biases, strict=True):
+            assert np.array_equal(b, ref_b)
         assert cm.verify()
 
 

@@ -128,6 +128,28 @@ class TestStages:
                 cm = checkpoint.load_model(out / "checkpoints" / "models" / "rep0" / f"{key}_{role}.json")
                 assert cm.verify()
 
+    @pytest.mark.parametrize("mode, tuned", [
+        ("qat", ["prune", "quant", "cluster"]),
+        ("calibrate", ["prune", "cluster"]),
+    ], ids=["qat", "calibrate"])
+    def test_every_family_fine_tuned_but_calibrated_int8(self, tmp_path, monkeypatch, mode, tuned):
+        from compaudit import compress
+
+        plan = parse_plan_text(MINIMAL.replace(
+            "prune = 0.7\n", f"prune = 0.7\nint8 = true\nint8_mode = {mode}\nclusters = 2\n"))
+        out = tmp_path / "out"
+        families = []
+        real = compress.finetune_compressed
+
+        def recording(cm, *args, **kwargs):
+            families.append(cm.family)
+            return real(cm, *args, **kwargs)
+
+        monkeypatch.setattr(compress, "finetune_compressed", recording)
+        pipeline.stage_train(plan, out)
+        pipeline.stage_compress(plan, out)
+        assert families == tuned * 2  # victim, then shadow
+
     def test_each_model_loaded_once_per_repetition(self, tmp_path, monkeypatch):
         from compaudit import checkpoint
 
@@ -323,13 +345,15 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [
-        ("shadow_test = 40\n", ""),
-        ("learning_rate = 0.2\n", ""),
-        ("[compression]", "[dp]\nnoise_multiplier = 0.5\n\n[compression]"),
-        None,
-    ], ids=["split", "train", "dp", "no_file"])
-    def test_plan_error_is_one_line_exit_two(self, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("edit, named", [
+        (("shadow_test = 40\n", ""), "shadow_test"),
+        (("learning_rate = 0.2\n", ""), "learning_rate"),
+        (("[compression]", "[dp]\nnoise_multiplier = 0.5\n\n[compression]"), "clip_norm"),
+        (("prune = 0.7\n", "prune = nan\n"), "prune sparsity nan"),
+        (("prune = 0.7\n", "prune = inf\n"), "prune sparsity inf"),
+        (None, "cannot read plan"),
+    ], ids=["split", "train", "dp", "prune_nan", "prune_inf", "no_file"])
+    def test_plan_error_is_one_line_exit_two(self, tmp_path, capsys, edit, named):
         plan_path = tmp_path / "plan.ini"
         if edit is not None:
             assert edit[0] in MINIMAL
@@ -337,7 +361,7 @@ class TestCli:
         code = cli.main(["--plan", str(plan_path), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
         assert not (tmp_path / "o").exists()
 
     def test_dependency_error_exit_two(self, tmp_path):

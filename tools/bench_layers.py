@@ -25,7 +25,10 @@ drifts. The layers are
 - one training epoch of that model on 300 rows in batches of 32: plain
   SGD, DP-SGD (clip 1, noise multiplier 0.5), and a constrained fine-tune
   of each compression family (70 % pruned, int8 quantization-aware
-  training, 8 clusters);
+  training, 8 clusters). ``qat_int8_s`` times
+  ``finetune_compressed(quantize_int8(model), ...)``; on a checkout whose
+  ``quantize_int8`` keeps no float latents, the same call times a
+  fine-tune from the grid values, which is the same work;
 - a 300-tree random-forest fit on 400 rows of 45 sorted posteriors next to
   a 45-class one-hot label (90 columns), that forest's scores on 200 new
   rows, and its out-of-bag scores on the 400 training rows;
@@ -132,7 +135,8 @@ def layers(tmp: Path) -> dict:
         "sgd_epoch_s": lambda: nn.train(model, xy, None, epoch),
         "dpsgd_epoch_s": lambda: nn.train_dpsgd(model, xy, epoch, dp),
         "finetune_prune70_s": lambda: compress.finetune_compressed(pruned, xy, None, epoch),
-        "qat_int8_s": lambda: compress.quantize_int8(model, "qat", train_set=xy, config=epoch),
+        "qat_int8_s": lambda: compress.finetune_compressed(
+            compress.quantize_int8(model), xy, None, epoch),
         "finetune_cluster8_s": lambda: compress.finetune_compressed(clustered, xy, None, epoch),
         "rf_fit_s": lambda: meta.fit("rf", X4, y4, forest_hyper, 15),
         "rf_score_s": lambda: meta.score_proba(forest, X5),
