@@ -200,7 +200,8 @@ def finetune_compressed(
     Pruned positions stay exactly zero, clustered layers move
     centroid-wise (gradient of a centroid is the sum over its member
     weights), and quantized layers train float latents through fake
-    quantization and get the scales of their trained weights.
+    quantization and are snapped again onto their own scales, as
+    ``quantize_int8`` snaps a float model.
     """
     if not cm.verify():
         raise InputError("compressed model violates its constraint")
@@ -208,7 +209,8 @@ def finetune_compressed(
         trained = nn.train(cm.model, train_set, valid_set, config, constraint=cm.constraint)
     else:
         trained = nn.train_dpsgd(cm.model, train_set, config, dp, constraint=cm.constraint)
-    out = CompressedModel(trained, cm.constraint.refreshed(trained.weights), cm.degree_tag)
+    trained.weights, constraint = cm.constraint.refreshed(trained.weights)
+    out = CompressedModel(trained, constraint, cm.degree_tag)
     if not out.verify():
         raise TrainingError("constraint violated after fine-tuning")
     return out

@@ -60,8 +60,8 @@ class Unconstrained:
     """
 
     def refreshed(self, weights: list[np.ndarray]):
-        """The constraint that fine-tuned ``weights`` satisfy."""
-        return self
+        """Fine-tuned ``weights`` as they are stored, and the constraint they satisfy."""
+        return weights, self
 
     def parameters(self, weights: list[np.ndarray]) -> list[np.ndarray]:
         params = [w.copy() for w in weights]
@@ -148,7 +148,7 @@ class Clustered(Unconstrained):
         out = [c.astype(float) for c in self.cluster_centroids]
         for w, assign, cent in zip(weights, self.cluster_assignments, out, strict=True):
             cent[assign] = w.ravel()
-        return Clustered(self.cluster_assignments, out)
+        return weights, Clustered(self.cluster_assignments, out)
 
     def parameters(self, weights):
         return [c.astype(float) for c in self.cluster_centroids]
@@ -193,7 +193,14 @@ class Quantized(Unconstrained):
         return cls([float(s) for s in d["scales"]])
 
     def refreshed(self, weights):
-        return Quantized([quant_scale(w) for w in weights])
+        """Trained weights snapped again onto their own grid, and that grid.
+
+        Training's scales s = fl(M / 127) give fl(fl(127 s) / 127) = s, so
+        the snap changes no bit there; a grid of another scale may not be
+        its own (about one scale in 128), and the snap makes it so.
+        """
+        snapped = [fake_quantize(w) for w in weights]
+        return [w for w, _ in snapped], Quantized([s for _, s in snapped])
 
     def parameters(self, weights):
         return super().parameters(weights if self.latents is None else self.latents)

@@ -120,6 +120,38 @@ class TestQuantize:
         assert all(a is b for a, b in zip(cm.constraint.latents, m.weights))
         assert cm.constraint == constraints.Quantized(list(cm.constraint.quant_scales))
 
+    # fl(127 s) is a rounding tie that rounds up, so fl(fl(127 s) / 127) is s + 1 ulp.
+    TIE_SCALE = (3 * 2**51 + 64) * 2.0**-52
+
+    def tie_grid(self):
+        return np.array([[127.0, 1.0, -1.0], [5.0, -64.0, 3.0]]) * self.TIE_SCALE
+
+    def test_refreshed_snaps_a_grid_whose_scale_is_not_its_own(self):
+        g = self.tie_grid()
+        assert constraints.Quantized([self.TIE_SCALE]).check([g])
+        assert not constraints.Quantized([constraints.quant_scale(g)]).check([g])
+        weights, grid = constraints.Quantized([self.TIE_SCALE]).refreshed([g])
+        assert np.array_equal(weights[0], constraints.fake_quantize(g)[0])
+        assert grid.check(weights) and grid.quant_scales == [constraints.quant_scale(g)]
+
+    def test_finetune_stores_weights_on_their_own_scales(self, monkeypatch):
+        """Training that leaves a grid of another scale still gives a consistent model."""
+        g = self.tie_grid()
+
+        def train_to_tie_grid(model, *args, **kwargs):
+            out = model.copy()
+            out.weights = [g.copy()]
+            return out
+
+        monkeypatch.setattr(nn, "train", train_to_tie_grid)
+        xy = (np.zeros((2, 3)), np.array([0, 1]))
+        cfg = nn.TrainConfig(learning_rate=0.05, batch_size=2, max_epochs=1, seed=0)
+        cm = compress.finetune_compressed(compress.quantize_int8(model_from_weights(g)),
+                                          xy, None, cfg)
+        assert np.array_equal(cm.model.weights[0], constraints.fake_quantize(g)[0])
+        assert cm.constraint.quant_scales == [constraints.quant_scale(g)]
+        assert cm.verify()
+
     @pytest.mark.parametrize("dp", [None, nn.DpConfig(clip_norm=1.0, noise_multiplier=0.5)],
                              ids=["sgd", "dpsgd"])
     def test_finetune_of_fresh_int8_is_qat_from_the_floats(self, dp):
