@@ -47,24 +47,62 @@ VERSION = 1
 def write_json(payload, path):
     """Write ``payload`` as sorted-key compact JSON, replacing ``path`` atomically.
 
-    The text comes from ``json.dumps``, whose C encoder gives the same
-    bytes as ``json.dump`` with the same arguments. A payload that does
-    not encode raises before any file is opened. The bytes go to
-    ``<name>.tmp``, which no ``*.json`` glob matches, and replace the
-    target only when complete, so an interrupted write never leaves a
-    truncated file under the final name.
+    Numpy arrays may stand anywhere in the payload, and the bytes are those
+    of ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` with each
+    array replaced by its ``tolist()``. The text is streamed: each array and
+    each subtree that holds none is encoded alone by the C encoder, so the
+    lists and text of the whole payload are never built at once. The bytes
+    go to ``<name>.tmp``, which no ``*.json`` glob matches, and replace the
+    target only when complete. A payload that fails to encode fails
+    mid-write, and like an interrupted write it never leaves a truncated
+    file under the final name or disturbs the previous one.
     """
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _encode(payload, fh.write)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _holds_array(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return True
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any(_holds_array(v) for v in value)
+
+
+def _encode(value, write):
+    """Write ``value``'s text piece by piece, descending only where arrays are."""
+    if isinstance(value, np.ndarray):
+        write(_dumps(value.tolist()))
+    elif not _holds_array(value):
+        write(_dumps(value))
+    elif isinstance(value, dict):
+        sep = "{"
+        for key, item in sorted(value.items()):
+            write(sep + _dumps({key: 0})[1:-2])  # the key and its colon, as json writes them
+            _encode(item, write)
+            sep = ","
+        write("}")
+    else:
+        sep = "["
+        for item in value:
+            write(sep)
+            _encode(item, write)
+            sep = ","
+        write("]")
 
 
 def read_json(path):
@@ -98,8 +136,8 @@ def save_model(path, model: FcnModel | CompressedModel):
             "version": VERSION,
             "kind": "fcn",
             "layer_sizes": list(model.layer_sizes),
-            "weights": [w.tolist() for w in model.weights],
-            "biases": [b.tolist() for b in model.biases],
+            "weights": model.weights,
+            "biases": model.biases,
             "dropout_rates": [float(p) for p in model.dropout_rates],
             "constraint": constraint,
             "family": family,
@@ -166,21 +204,15 @@ def save_classifier(path, clf):
     """Write a meta-classifier checkpoint."""
     base = {"format": FORMAT, "version": VERSION, "kind": clf.kind, "seed": clf.seed}
     if isinstance(clf, LogisticMeta):
-        base |= {"weights": clf.weights.tolist(), "bias": clf.bias}
+        base |= {"weights": clf.weights, "bias": clf.bias}
     elif isinstance(clf, MlpMeta):
-        base |= {
-            "W1": clf.W1.tolist(),
-            "b1": clf.b1.tolist(),
-            "w2": clf.w2.tolist(),
-            "b2": clf.b2,
-            "mean": clf.mean.tolist(),
-            "std": clf.std.tolist(),
-        }
+        base |= {"W1": clf.W1, "b1": clf.b1, "w2": clf.w2, "b2": clf.b2,
+                 "mean": clf.mean, "std": clf.std}
     elif isinstance(clf, RandomForestMeta):
         base |= {
             "n_features": clf.n_features,
             "bootstrap": clf.bootstrap,
-            "trees": [{k: a.tolist() for k, a in t._asdict().items()} for t in clf.trees],
+            "trees": [t._asdict() for t in clf.trees],
         }
     else:
         raise CheckpointError(f"cannot serialize classifier of type {type(clf).__name__}")

@@ -49,6 +49,12 @@ class CompressedModel:
         return self.constraint.check(self.model.weights)
 
 
+def _require_finite(model: nn.FcnModel):
+    for w in model.weights:
+        if not np.all(np.isfinite(w)):
+            raise InputError("model weights contain non-finite values")
+
+
 def prune_l1(model: nn.FcnModel, sparsity: float) -> CompressedModel:
     """Zero the fraction ``sparsity`` of smallest-magnitude weights.
 
@@ -58,9 +64,7 @@ def prune_l1(model: nn.FcnModel, sparsity: float) -> CompressedModel:
     """
     if not 0.0 <= sparsity <= 1.0:
         raise InputError("sparsity must be in [0, 1]")
-    for w in model.weights:
-        if not np.all(np.isfinite(w)):
-            raise InputError("model weights contain non-finite values")
+    _require_finite(model)
     new = model.copy()
     masks = []
     flat = np.concatenate([np.abs(w).ravel() for w in new.weights])
@@ -82,8 +86,10 @@ def quantize_int8(model: nn.FcnModel) -> CompressedModel:
 
     An all-zero matrix keeps the degenerate scale 1 and stays zero. The
     input's weight arrays (not copies) become the constraint's latents, the
-    floats that ``finetune_compressed`` then trains (QAT).
+    floats that ``finetune_compressed`` then trains (QAT). Non-finite
+    weights raise InputError, as in ``prune_l1``.
     """
+    _require_finite(model)
     snapped = [fake_quantize(w) for w in model.weights]
     new = model.copy()
     new.weights = [w for w, _ in snapped]

@@ -50,7 +50,8 @@ class Unconstrained:
     A compression family is one subclass: its fields are the structure the
     compression imposed, ``kind`` names it in a checkpoint and ``family``
     in a model's order key. ``check`` tests weights exactly, with no
-    tolerance; ``fields`` gives the checkpoint fields as JSON values and
+    tolerance; ``fields`` gives the checkpoint fields as JSON values or
+    numpy arrays, as ``checkpoint.write_json`` takes them, and
     ``from_fields`` reads them back. Training runs on the family's
     parameters: ``parameters`` makes them from the model's weights,
     ``weights`` maps them back to weight matrices for each forward pass,
@@ -95,7 +96,7 @@ class Pruned(Unconstrained):
                    for w, mask in zip(weights, self.prune_masks, strict=True))
 
     def fields(self):
-        return {"masks": [m.astype(int).tolist() for m in self.prune_masks]}
+        return {"masks": [m.astype(np.uint8) for m in self.prune_masks]}
 
     @classmethod
     def from_fields(cls, d):
@@ -127,10 +128,7 @@ class Clustered(Unconstrained):
                        weights, self.cluster_assignments, self.cluster_centroids, strict=True))
 
     def fields(self):
-        return {
-            "assignments": [a.tolist() for a in self.cluster_assignments],
-            "centroids": [c.tolist() for c in self.cluster_centroids],
-        }
+        return {"assignments": self.cluster_assignments, "centroids": self.cluster_centroids}
 
     @classmethod
     def from_fields(cls, d):

@@ -11,6 +11,13 @@ in isolation:
     report    -> report/report.json, report/summary.csv, report/report.txt,
                  report/roc/rep<r>__<cell>.csv
 
+A full run (``run_plan``) makes each repetition one task that trains,
+compresses, attacks and evaluates back to back on a ``_Rep``: the
+repetition's dataset, split and models, so no model it made is read back
+and one it did not make is loaded once. The tasks share at most one
+process pool and return their failed cells and model accuracies to the
+report. A single stage (``run_stage``) runs the same step on a new ``_Rep``.
+
 Every number is a pure function of the plan text and the seed base: cell
 seeds are derived by hashing (seed_base, repetition, role), stages skip
 work whose output file already exists (a score or metric file that does
@@ -35,6 +42,7 @@ from .plan import ExperimentPlan
 
 SCHEMA_VERSION = 1
 STAGES = ("train", "compress", "attack", "evaluate", "report")
+ROLES = ("victim", "shadow")
 # what each stage writes, as glob patterns under the output directory
 STAGE_OUTPUTS = {
     "train": ["checkpoints/models"],
@@ -150,69 +158,98 @@ def _intact(path: Path) -> bool:
     return True
 
 
+class _Rep:
+    """One repetition: its dataset and split, and the models it made or loaded.
+
+    ``models`` is keyed like the checkpoint files (``prune70_victim``). A
+    model is read from its checkpoint only if this repetition did not make
+    it, and then once; the dataset and split are built on first use.
+    """
+
+    def __init__(self, plan: ExperimentPlan, out, rep: int):
+        self.plan, self.out, self.rep = plan, Path(out), rep
+        self.models = {}
+
+    @functools.cached_property
+    def dataset(self) -> data.TabularDataset:
+        return build_dataset(self.plan)
+
+    @functools.cached_property
+    def split(self) -> data.SplitPlan:
+        return build_split(self.plan, self.dataset, self.rep)
+
+    def path(self, name: str) -> Path:
+        return _model_dir(self.out, self.rep) / f"{name}.json"
+
+    def model(self, name: str):
+        """The model ``name``, loaded on first use; only an attack asks for a missing one."""
+        if name not in self.models:
+            path = self.path(name)
+            if not path.exists():
+                raise DependencyError(f"attack needs the compress/train stage output {path}")
+            self.models[name] = checkpoint.load_model(path)
+        return self.models[name]
+
+    def save(self, name: str, model):
+        checkpoint.save_model(self.path(name), model)
+        self.models[name] = model
+
+
 # ---------------------------------------------------------------------------
 # stage: train
 
 
-def _train_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
-    out = Path(out_str)
-    dataset = build_dataset(plan)
-    split = build_split(plan, dataset, rep)
-    for role in ("victim", "shadow"):
-        path = _model_dir(out, rep) / f"original_{role}.json"
-        if path.exists():
+def _train(r: _Rep):
+    plan = r.plan
+    for role in ROLES:
+        if r.path(f"original_{role}").exists():
             continue
-        layer_sizes = [dataset.n_features] + plan.train.hidden + [dataset.class_count]
+        layer_sizes = [r.dataset.n_features] + plan.train.hidden + [r.dataset.class_count]
         dropout = [plan.train.dropout] * (len(layer_sizes) - 2)
-        model = nn.init_fcn(layer_sizes, seed=derive_seed(plan.seed_base, rep, "init", role),
+        model = nn.init_fcn(layer_sizes, seed=derive_seed(plan.seed_base, r.rep, "init", role),
                             dropout_rates=dropout)
-        cfg = plan.train.config(seed=derive_seed(plan.seed_base, rep, "train", role))
-        train_xy = dataset.xy(getattr(split, f"{role}_train"))
+        cfg = plan.train.config(seed=derive_seed(plan.seed_base, r.rep, "train", role))
+        train_xy = r.dataset.xy(getattr(r.split, f"{role}_train"))
         if plan.dp is None:
             valid_xy = (
-                dataset.xy(getattr(split, f"{role}_test"))
+                r.dataset.xy(getattr(r.split, f"{role}_test"))
                 if cfg.early_stop_patience > 0 else None
             )
             trained = nn.train(model, train_xy, valid_xy, cfg)
         else:
             trained = nn.train_dpsgd(model, train_xy, cfg, plan.dp)
-        checkpoint.save_model(path, trained)
+        r.save(f"original_{role}", trained)
 
 
 def stage_train(plan: ExperimentPlan, out: Path, workers: int = 1):
-    _run_per_rep(_train_one_rep, plan, out, workers)
+    _run_per_rep((_train,), plan, out, workers)
 
 
 # ---------------------------------------------------------------------------
 # stage: compress
 
 
-def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
-    out = Path(out_str)
-    dataset = build_dataset(plan)
-    split = build_split(plan, dataset, rep)
-    spec = plan.compression
+def _compress(r: _Rep):
+    plan, spec = r.plan, r.plan.compression
     ft_epochs = spec.finetune_epochs
-    for role in ("victim", "shadow"):
-        orig_path = _model_dir(out, rep) / f"original_{role}.json"
-        if not orig_path.exists():
-            raise DependencyError(f"compress needs the train stage output {orig_path}")
-        missing = [
-            target for target in spec.targets()
-            if not (_model_dir(out, rep) / f"{target[0]}_{role}.json").exists()
-        ]
+    for role in ROLES:
+        if not r.path(f"original_{role}").exists():
+            raise DependencyError(f"compress needs the train stage output "
+                                  f"{r.path(f'original_{role}')}")
+        missing = [target for target in spec.targets()
+                   if not r.path(f"{target[0]}_{role}").exists()]
         if not missing:
             continue
-        original = checkpoint.load_model(orig_path)
-        train_idx = getattr(split, f"{role}_train")
+        original = r.model(f"original_{role}")
+        train_idx = getattr(r.split, f"{role}_train")
         if spec.finetune_fraction < 1.0:
             train_idx = data.make_finetune_split(
                 train_idx, spec.finetune_fraction,
-                seed=derive_seed(plan.seed_base, rep, "finetune", role),
+                seed=derive_seed(plan.seed_base, r.rep, "finetune", role),
             )
-        train_xy = dataset.xy(train_idx)
+        train_xy = r.dataset.xy(train_idx)
         for key, family, parameter in missing:
-            seed = derive_seed(plan.seed_base, rep, "compress", role, key)
+            seed = derive_seed(plan.seed_base, r.rep, "compress", role, key)
             if family == "prune":
                 cm = compress.prune_l1(original, parameter)
             elif family == "cluster":
@@ -222,25 +259,15 @@ def _compress_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
             if ft_epochs > 0 and (family != "quant" or spec.int8_mode == "qat"):
                 cfg = plan.train.config(seed, epochs=ft_epochs, lr=spec.finetune_learning_rate)
                 cm = compress.finetune_compressed(cm, train_xy, None, cfg, dp=plan.dp)
-            checkpoint.save_model(_model_dir(out, rep) / f"{key}_{role}.json", cm)
+            r.save(f"{key}_{role}", cm)
 
 
 def stage_compress(plan: ExperimentPlan, out: Path, workers: int = 1):
-    _run_per_rep(_compress_one_rep, plan, out, workers)
+    _run_per_rep((_compress,), plan, out, workers)
 
 
 # ---------------------------------------------------------------------------
 # stage: attack
-
-
-def _load_pair(out: Path, rep: int, key: str):
-    pair = []
-    for role in ("victim", "shadow"):
-        path = _model_dir(out, rep) / f"{key}_{role}.json"
-        if not path.exists():
-            raise DependencyError(f"attack needs the compress/train stage output {path}")
-        pair.append(checkpoint.load_model(path))
-    return pair
 
 
 def _attack_cells(plan: ExperimentPlan) -> list[tuple[str, str]]:
@@ -304,35 +331,36 @@ def _run_attack_cell(plan, dataset, split, pair, rep, attack_key, target_key):
     return scores, extra
 
 
-def _attack_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
-    out = Path(out_str)
-    dataset = build_dataset(plan)
-    split = build_split(plan, dataset, rep)
+def _attack(r: _Rep) -> list[dict]:
+    """Score the cells without an intact score file; returns the failed cells."""
     failures = []
-    # attacks only run forward passes, so the cells of a repetition share
-    # one loaded copy of each model
-    pair = functools.cache(lambda key: _load_pair(out, rep, key))
+
+    def pair(key):  # attacks only run forward passes, so every cell reads the one stored copy
+        return tuple(r.model(f"{key}_{role}") for role in ROLES)
+
+    score_dir = r.out / "checkpoints" / "scores" / f"rep{r.rep}"
     # the directory marks stage completion even when every cell fails
-    (out / "checkpoints" / "scores" / f"rep{rep}").mkdir(parents=True, exist_ok=True)
-    for attack_key, target_key in _attack_cells(plan):
+    score_dir.mkdir(parents=True, exist_ok=True)
+    for attack_key, target_key in _attack_cells(r.plan):
         cell = f"{attack_key}__{target_key}"
-        path = out / "checkpoints" / "scores" / f"rep{rep}" / f"{cell}.json"
+        path = score_dir / f"{cell}.json"
         if _intact(path):
             continue
         try:
-            scores, extra = _run_attack_cell(plan, dataset, split, pair, rep, attack_key, target_key)
+            scores, extra = _run_attack_cell(r.plan, r.dataset, r.split, pair, r.rep,
+                                             attack_key, target_key)
         except (CheckpointError, DependencyError):
             raise  # a missing or damaged model is an input of every cell that reads it
         except CompauditError as exc:  # per-cell isolation
-            failures.append({"rep": rep, "cell": cell, "error": str(exc)})
+            failures.append({"rep": r.rep, "cell": cell, "error": str(exc)})
             continue
         checkpoint.write_json(
             {
                 "attack": attack_key,
                 "target": target_key,
-                "rep": rep,
-                "member_scores": scores.member_scores.tolist(),
-                "nonmember_scores": scores.nonmember_scores.tolist(),
+                "rep": r.rep,
+                "member_scores": scores.member_scores,
+                "nonmember_scores": scores.nonmember_scores,
                 "decision_threshold": scores.decision_threshold,
                 "extra": extra,
             },
@@ -341,9 +369,8 @@ def _attack_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
     return failures
 
 
-def stage_attack(plan: ExperimentPlan, out: Path, workers: int = 1) -> list[dict]:
-    results = _run_per_rep(_attack_one_rep, plan, out, workers)
-    failures = [f for sub in results for f in (sub or [])]
+def _record_failures(out: Path, failures: list[dict]):
+    """Merge failed cells into ``failures.json``, one entry per (rep, cell)."""
     if failures:
         existing = []
         fail_path = out / "failures.json"
@@ -351,6 +378,11 @@ def stage_attack(plan: ExperimentPlan, out: Path, workers: int = 1) -> list[dict
             existing = checkpoint.read_json(fail_path)
         merged = {(f["rep"], f["cell"]): f for f in existing + failures}
         checkpoint.write_json([merged[k] for k in sorted(merged)], fail_path)
+
+
+def stage_attack(plan: ExperimentPlan, out: Path, workers: int = 1) -> list[dict]:
+    failures = [f for (sub,) in _run_per_rep((_attack,), plan, out, workers) for f in sub]
+    _record_failures(Path(out), failures)
     return failures
 
 
@@ -358,11 +390,11 @@ def stage_attack(plan: ExperimentPlan, out: Path, workers: int = 1) -> list[dict
 # stage: evaluate
 
 
-def _evaluate_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
-    out = Path(out_str)
+def _evaluate(r: _Rep):
+    out, rep = r.out, r.rep
     score_dir = out / "checkpoints" / "scores" / f"rep{rep}"
     if not score_dir.exists():
-        if _attack_cells(plan):
+        if _attack_cells(r.plan):
             raise DependencyError(f"evaluate needs the attack stage output {score_dir}")
         return
     (out / "checkpoints" / "metrics" / f"rep{rep}").mkdir(parents=True, exist_ok=True)
@@ -386,34 +418,34 @@ def _evaluate_one_rep(plan: ExperimentPlan, out_str: str, rep: int):
             "small_sample": {},
             "scores_file": str(score_path.relative_to(out)),
         }
-        for cap in plan.fpr_caps:
+        for cap in r.plan.fpr_caps:
             record["tpr_at_fpr"][repr(cap)] = metrics.tpr_at_fpr(scores, cap)
             record["small_sample"][repr(cap)] = metrics.small_sample_flag(scores, cap)
         checkpoint.write_json(record, metric_path)
 
 
 def stage_evaluate(plan: ExperimentPlan, out: Path, workers: int = 1):
-    _run_per_rep(_evaluate_one_rep, plan, out, workers)
+    _run_per_rep((_evaluate,), plan, out, workers)
 
 
 # ---------------------------------------------------------------------------
 # stage: report
 
 
-def _model_accuracies(plan: ExperimentPlan, out: Path, rep: int) -> dict:
-    dataset = build_dataset(plan)
-    split = build_split(plan, dataset, rep)
+def _model_accuracies(r: _Rep) -> dict:
+    """Train and test accuracy of every model of the repetition that exists."""
     table = {}
-    for role in ("victim", "shadow"):
-        for key in ["original"] + plan.compression_keys():
-            path = _model_dir(out, rep) / f"{key}_{role}.json"
-            if not path.exists():
+    for role in ROLES:
+        for key in ["original"] + r.plan.compression_keys():
+            name = f"{key}_{role}"
+            if not r.path(name).exists():
                 continue
-            loaded = checkpoint.load_model(path)
-            model = loaded.model if isinstance(loaded, compress.CompressedModel) else loaded
-            tr = nn.evaluate_accuracy(model, *dataset.xy(getattr(split, f"{role}_train")))
-            te = nn.evaluate_accuracy(model, *dataset.xy(getattr(split, f"{role}_test")))
-            table[f"{key}_{role}"] = {
+            model = r.model(name)
+            if isinstance(model, compress.CompressedModel):
+                model = model.model
+            tr = nn.evaluate_accuracy(model, *r.dataset.xy(getattr(r.split, f"{role}_train")))
+            te = nn.evaluate_accuracy(model, *r.dataset.xy(getattr(r.split, f"{role}_test")))
+            table[name] = {
                 "train_accuracy": tr,
                 "test_accuracy": te,
                 "overfitting_gap": tr - te,
@@ -421,7 +453,9 @@ def _model_accuracies(plan: ExperimentPlan, out: Path, rep: int) -> dict:
     return table
 
 
-def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
+def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1,
+                 models: dict | None = None) -> dict:
+    """Write the report; ``models``, the accuracy tables by ``rep<r>``, is computed if not given."""
     out = Path(out)
     cells = []
     for rep in range(plan.repetitions):
@@ -452,7 +486,9 @@ def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
     fail_path = out / "failures.json"
     if fail_path.exists():
         failures = checkpoint.read_json(fail_path)
-    models = {f"rep{rep}": _model_accuracies(plan, out, rep) for rep in range(plan.repetitions)}
+    if models is None:
+        models = {f"rep{rep}": _model_accuracies(_Rep(plan, out, rep))
+                  for rep in range(plan.repetitions)}
     report = {
         "schema_version": SCHEMA_VERSION,
         "plan_hash": plan.plan_hash(),
@@ -542,14 +578,22 @@ def _export_rocs(plan: ExperimentPlan, out: Path, roc_dir: Path):
 # drivers
 
 
-def _run_per_rep(fn, plan: ExperimentPlan, out: Path, workers: int):
+def _rep_task(steps, plan: ExperimentPlan, out_str: str, rep: int) -> list:
+    """Run ``steps`` in order on one repetition; returns their results."""
+    r = _Rep(plan, out_str, rep)
+    return [step(r) for step in steps]
+
+
+def _run_per_rep(steps, plan: ExperimentPlan, out: Path, workers: int) -> list[list]:
+    """``_rep_task(steps)`` for every repetition, on one pool when there are workers to use."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     reps = list(range(plan.repetitions))
+    task = functools.partial(_rep_task, steps)
     if workers <= 1 or len(reps) <= 1:
-        return [fn(plan, str(out), rep) for rep in reps]
+        return [task(plan, str(out), rep) for rep in reps]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, [plan] * len(reps), [str(out)] * len(reps), reps))
+        return list(pool.map(task, [plan] * len(reps), [str(out)] * len(reps), reps))
 
 
 def run_stage(plan: ExperimentPlan, out, stage: str, workers: int | None = None):
@@ -561,10 +605,16 @@ def run_stage(plan: ExperimentPlan, out, stage: str, workers: int | None = None)
 
 
 def run_plan(plan: ExperimentPlan, out, workers: int | None = None) -> dict:
-    """Run every stage in order and return the report dictionary."""
-    for stage in STAGES:
-        result = run_stage(plan, out, stage, workers=workers)
-    return result
+    """Run every stage, one task per repetition, and return the report dictionary."""
+    out = Path(out)
+    workers = plan.workers if workers is None else workers
+    steps = (_train, _compress, _attack, _evaluate, _model_accuracies)
+    failures, models = [], {}
+    for rep, (_, _, failed, _, table) in enumerate(_run_per_rep(steps, plan, out, workers)):
+        failures += failed
+        models[f"rep{rep}"] = table
+    _record_failures(out, failures)
+    return stage_report(plan, out, workers, models=models)
 
 
 def clear_downstream(out, stage: str):

@@ -49,7 +49,8 @@ class TestModelCheckpoints:
         loaded = checkpoint.load_model(p)
         assert isinstance(loaded, compress.CompressedModel)
         assert type(loaded.constraint) is constraints.KINDS[kind]
-        assert loaded.constraint.fields() == cm.constraint.fields()
+        assert (json.dumps(loaded.constraint.fields(), default=np.ndarray.tolist)
+                == json.dumps(cm.constraint.fields(), default=np.ndarray.tolist))
         assert loaded.family == cm.family
         assert loaded.degree_tag == cm.degree_tag
         assert loaded.verify()
@@ -211,3 +212,75 @@ class TestAtomicWrite:
         p.write_text('{"a": [1, 2', encoding="utf-8")
         with pytest.raises(CheckpointError):
             checkpoint.read_json(p)
+
+
+def as_lists(value):
+    """``value`` with every numpy array replaced by its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(v) for v in value]
+    return value
+
+
+def dumped(payload) -> bytes:
+    return json.dumps(as_lists(payload), sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+class TestStreamedWrite:
+    """``write_json`` takes numpy arrays anywhere and streams them one at a time."""
+
+    @pytest.mark.parametrize("kind", [None] + sorted(constraints.KINDS))
+    def test_model_bytes_equal_json_dumps_of_lists(self, tmp_path, monkeypatch, kind):
+        model = sample_model()
+        model.weights[0][0, :2] = [-0.0, 0.0]
+        model = model if kind is None else COMPRESSIONS[kind](model)
+        payloads = []
+        real = checkpoint.write_json
+
+        def recording(payload, path):
+            payloads.append(payload)
+            real(payload, path)
+
+        monkeypatch.setattr(checkpoint, "write_json", recording)
+        p = tmp_path / "m.json"
+        checkpoint.save_model(p, model)
+        (payload,) = payloads
+        assert all(isinstance(w, np.ndarray) for w in payload["weights"] + payload["biases"])
+        assert p.read_bytes() == dumped(payload)
+
+    def test_signed_zeros_empty_arrays_and_nesting(self, tmp_path):
+        payload = {
+            "zeros": np.array([-0.0, 0.0, -1e-300 * 1e-300]),
+            "empty": [np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3), dtype=np.int64)],
+            "nested": {"b": [np.arange(3), (np.array([[True, False]]), "x")],
+                       "a": {"deep": np.array(2.5)}, "plain": [1, None, "t"]},
+            "scalar": np.float64(0.1),
+            "masks": [np.array([[True, False]]).astype(np.uint8)],
+            # keys as json writes them: 7 sorts before 10, True is "true"
+            "int_keys": {10: np.array([1.5]), 7: None},
+            "other_keys": [{True: np.zeros(1), False: 1}, {None: np.zeros(1)}],
+        }
+        p = tmp_path / "x.json"
+        checkpoint.write_json(payload, p)
+        assert p.read_bytes() == dumped(payload)
+        assert b"-0.0" in p.read_bytes()
+
+    @pytest.mark.parametrize("bad", [
+        {"a": np.arange(3), "b": object()},
+        {"a": [np.arange(2), {1, 2}]},
+        {"a": np.array([object()], dtype=object)},
+    ], ids=["after_an_array", "inside_a_list", "array_element"])
+    def test_failure_mid_stream_keeps_the_previous_file(self, tmp_path, bad):
+        p = tmp_path / "x.json"
+        checkpoint.write_json({"a": np.arange(4)}, p)
+        before = p.read_bytes()
+        with pytest.raises(TypeError):
+            checkpoint.write_json(bad, p)
+        assert p.read_bytes() == before
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["x.json"]
+        with pytest.raises(TypeError):
+            checkpoint.write_json(bad, tmp_path / "new" / "y.json")
+        assert list((tmp_path / "new").iterdir()) == []

@@ -114,6 +114,11 @@ class TestQuantize:
         zeros = w[w == 0.0]
         assert zeros.size == 2 and not np.any(np.signbit(zeros))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_weight_is_input_error(self, bad):
+        with pytest.raises(InputError, match="non-finite"):
+            compress.quantize_int8(model_from_weights([[0.5, bad, -0.25]]))
+
     def test_latents_are_the_input_arrays_and_not_compared(self):
         m = two_layer_model(seed=6)
         cm = compress.quantize_int8(m)

@@ -1,12 +1,15 @@
 """Pipeline stage, determinism, and CLI tests."""
 
+import collections
 import json
 import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import compaudit
@@ -51,8 +54,30 @@ seed_base = 9
 """
 
 
+# every compression family, with NR, SR and MR cells over them
+EVERY_KIND = MINIMAL.replace(
+    "prune = 0.7\n", "prune = 0.7\nint8 = true\nclusters = 2\n").replace(
+    "nr_targets = prune70",
+    "nr_targets = all\nsr_methods = sorted_concat\nsr_classifiers = lr\nmr = adv2")
+
+
 def report_bytes(out):
     return (out / "report" / "report.json").read_bytes()
+
+
+def counted_loads(monkeypatch) -> collections.Counter:
+    """Count ``checkpoint.load_model`` calls by file name from now on."""
+    from compaudit import checkpoint
+
+    loads = collections.Counter()
+    real = checkpoint.load_model
+
+    def counting(path):
+        loads[Path(path).name] += 1
+        return real(path)
+
+    monkeypatch.setattr(checkpoint, "load_model", counting)
+    return loads
 
 
 class TestRunPlan:
@@ -176,12 +201,95 @@ class TestStages:
         assert sorted(loads) == sorted(f"{k}_{r}.json" for k in ("original", "prune70")
                                        for r in ("victim", "shadow"))
 
-    def test_worker_pool_matches_sequential(self, tmp_path):
+    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
         plan = parse_plan_text(MINIMAL.replace("repetitions = 1", "repetitions = 2"))
+        pools = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountedPool)
         seq, par = tmp_path / "seq", tmp_path / "par"
         pipeline.run_plan(plan, seq, workers=1)
+        assert pools == []
         pipeline.run_plan(plan, par, workers=2)
+        assert pools == [2]  # one pool for the whole run, not one per stage
         assert report_bytes(seq) == report_bytes(par)
+        files = output_files(seq)
+        assert files == output_files(par)
+        assert all((seq / f).read_bytes() == (par / f).read_bytes() for f in files)
+
+
+class TestRepetitionTask:
+    """A full run keeps each repetition's models in memory and reads none it made."""
+
+    def test_fresh_run_loads_no_model(self, tmp_path, monkeypatch):
+        plan = parse_plan_text(EVERY_KIND)
+        loads = counted_loads(monkeypatch)
+        report = pipeline.run_plan(plan, tmp_path / "out")
+        assert {c["attack"].split("_")[0] for c in report["cells"]} == {"nr", "sr", "mr"}
+        assert len(report["models"]["rep0"]) == 8  # original and three families, two roles
+        assert report["failures"] == []
+        assert loads == {}
+
+    @pytest.mark.parametrize("damaged", [None, "nr_loss__int8.json"])
+    def test_resume_loads_each_model_at_most_once(self, tmp_path, monkeypatch, damaged):
+        plan = parse_plan_text(EVERY_KIND)
+        out = tmp_path / "out"
+        pipeline.run_plan(plan, out)
+        before = {f: (out / f).read_bytes() for f in output_files(out)}
+        if damaged is not None:  # its cell runs again, and needs models before the report
+            score = out / "checkpoints" / "scores" / "rep0" / damaged
+            score.write_bytes(score.read_bytes()[:40])
+        loads = counted_loads(monkeypatch)
+        pipeline.run_plan(plan, out)
+        models = {p.name for p in (out / "checkpoints" / "models" / "rep0").glob("*.json")}
+        assert set(loads) == models and max(loads.values()) == 1
+        assert {f: (out / f).read_bytes() for f in output_files(out)} == before
+
+    def test_stored_models_equal_their_checkpoints(self, tmp_path, monkeypatch):
+        from compaudit import checkpoint, compress
+
+        plan = parse_plan_text(EVERY_KIND)
+        out = tmp_path / "out"
+        stores = []
+        real = pipeline._model_accuracies
+
+        def keeping(r):
+            stores.append(r.models)
+            return real(r)
+
+        monkeypatch.setattr(pipeline, "_model_accuracies", keeping)
+        pipeline.run_plan(plan, out)
+        (store,) = stores
+        model_dir = out / "checkpoints" / "models" / "rep0"
+        assert sorted(store) == sorted(p.stem for p in model_dir.glob("*.json"))
+        for name, held in store.items():
+            loaded = checkpoint.load_model(model_dir / f"{name}.json")
+            assert type(held) is type(loaded)
+            if isinstance(held, compress.CompressedModel):
+                assert type(held.constraint) is type(loaded.constraint)
+                assert held.degree_tag == loaded.degree_tag
+                assert (json.dumps(held.constraint.fields(), default=np.ndarray.tolist)
+                        == json.dumps(loaded.constraint.fields(), default=np.ndarray.tolist))
+                held, loaded = held.model, loaded.model
+            assert held.layer_sizes == loaded.layer_sizes
+            assert held.dropout_rates == loaded.dropout_rates
+            for a, b in zip(held.weights + held.biases, loaded.weights + loaded.biases,
+                            strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()  # bit for bit
+
+    def test_single_stages_give_the_full_run_bytes(self, tmp_path):
+        plan = parse_plan_text(EVERY_KIND)
+        full, staged = tmp_path / "full", tmp_path / "staged"
+        pipeline.run_plan(plan, full)
+        for stage in pipeline.STAGES:
+            pipeline.run_stage(plan, staged, stage)
+        files = output_files(full)
+        assert files == output_files(staged)
+        assert all((full / f).read_bytes() == (staged / f).read_bytes() for f in files)
 
 
 def output_files(out):
