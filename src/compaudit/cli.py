@@ -6,8 +6,9 @@
 Without --stage the whole pipeline runs and the report is rendered.
 Environment overrides are limited to paths and thread count:
 COMPAUDIT_OUT supplies the default output directory and COMPAUDIT_WORKERS
-the default worker count. Exit code 0 on success, 1 when attack cells
-failed (with a per-cell listing), 2 on plan or dependency errors.
+the default worker count (unset or empty: the plan's). Exit code 0 on
+success, 1 when attack cells failed (with a per-cell listing), 2 on usage,
+plan or dependency errors, with one ``error:`` line.
 """
 
 import argparse
@@ -19,8 +20,25 @@ from .pipeline import STAGES, run_plan, run_stage
 from .plan import parse_plan
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like the plan and dependency errors
+        self.exit(2, f"error: {message}\n")
+
+
+def _worker_count(text: str) -> int:
+    """A worker count from ``--workers`` or ``COMPAUDIT_WORKERS``: a whole number >= 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number >= 1 (also read from COMPAUDIT_WORKERS), got {text!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="compaudit",
         description="Membership-leakage audit for compressed classifiers.",
     )
@@ -32,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=int,
-        default=int(os.environ.get("COMPAUDIT_WORKERS", "0")) or None,
+        type=_worker_count,  # argparse converts a string default, so the variable is checked too
+        default=os.environ.get("COMPAUDIT_WORKERS") or None,
         help="concurrent repetition workers (default: plan value)",
     )
     parser.add_argument("--seed-base", type=int, default=None, help="override the plan's seed base")

@@ -77,9 +77,12 @@ def load_csv(path, schema: CsvSchema | None = None) -> TabularDataset:
                 continue
             if width is None:
                 width = len(row)
+                if not -width <= schema.label_column < width:
+                    raise DataError(f"label_column {schema.label_column} is outside a "
+                                    f"{width}-column file (valid: {-width} to {width - 1})")
+                label_col = schema.label_column % width
             elif len(row) != width:
                 raise DataError(f"line {lineno}: expected {width} columns, got {len(row)}")
-            label_col = schema.label_column % len(row)
             feats = []
             for col, cell in enumerate(row):
                 if col == label_col:

@@ -7,7 +7,8 @@ in isolation:
     train     -> checkpoints/models/rep<r>/original_{victim,shadow}.json
     compress  -> checkpoints/models/rep<r>/<target>_{victim,shadow}.json
     attack    -> checkpoints/scores/rep<r>/<attack>__<target>.json
-    evaluate  -> checkpoints/metrics/rep<r>/<attack>__<target>.json
+    evaluate  -> checkpoints/metrics/rep<r>/<attack>__<target>.json,
+                 checkpoints/metrics/models_rep<r>.json (model accuracies)
     report    -> report/report.json, report/summary.csv, report/report.txt,
                  report/roc/rep<r>__<cell>.csv
 
@@ -15,8 +16,9 @@ A full run (``run_plan``) makes each repetition one task that trains,
 compresses, attacks and evaluates back to back on a ``_Rep``: the
 repetition's dataset, split and models, so no model it made is read back
 and one it did not make is loaded once. The tasks share at most one
-process pool and return their failed cells and model accuracies to the
-report. A single stage (``run_stage``) runs the same step on a new ``_Rep``.
+process pool and return their failed cells. A single stage (``run_stage``)
+runs the same step on a new ``_Rep``. The report reads only files: it
+loads no model and builds no dataset.
 
 Every number is a pure function of the plan text and the seed base: cell
 seeds are derived by hashing (seed_base, repetition, role), stages skip
@@ -390,12 +392,37 @@ def stage_attack(plan: ExperimentPlan, out: Path, workers: int = 1) -> list[dict
 # stage: evaluate
 
 
+def _accuracy_path(out: Path, rep: int) -> Path:
+    # beside rep<r>/, whose every file the report reads as a cell
+    return out / "checkpoints" / "metrics" / f"models_rep{rep}.json"
+
+
+def _model_accuracies(r: _Rep) -> dict:
+    """Train and test accuracy of every model of the repetition that exists."""
+    table = {}
+    for role in ROLES:
+        for key in ["original"] + r.plan.compression_keys():
+            name = f"{key}_{role}"
+            if not r.path(name).exists():
+                continue
+            model = r.model(name)
+            if isinstance(model, compress.CompressedModel):
+                model = model.model
+            tr = nn.evaluate_accuracy(model, *r.dataset.xy(getattr(r.split, f"{role}_train")))
+            te = nn.evaluate_accuracy(model, *r.dataset.xy(getattr(r.split, f"{role}_test")))
+            table[name] = {"train_accuracy": tr, "test_accuracy": te, "overfitting_gap": tr - te}
+    return table
+
+
 def _evaluate(r: _Rep):
     out, rep = r.out, r.rep
     score_dir = out / "checkpoints" / "scores" / f"rep{rep}"
+    if not score_dir.exists() and _attack_cells(r.plan):
+        raise DependencyError(f"evaluate needs the attack stage output {score_dir}")
+    table_path = _accuracy_path(out, rep)
+    if not _intact(table_path):
+        checkpoint.write_json(_model_accuracies(r), table_path)
     if not score_dir.exists():
-        if _attack_cells(r.plan):
-            raise DependencyError(f"evaluate needs the attack stage output {score_dir}")
         return
     (out / "checkpoints" / "metrics" / f"rep{rep}").mkdir(parents=True, exist_ok=True)
     for score_path in sorted(score_dir.glob("*.json")):
@@ -432,40 +459,18 @@ def stage_evaluate(plan: ExperimentPlan, out: Path, workers: int = 1):
 # stage: report
 
 
-def _model_accuracies(r: _Rep) -> dict:
-    """Train and test accuracy of every model of the repetition that exists."""
-    table = {}
-    for role in ROLES:
-        for key in ["original"] + r.plan.compression_keys():
-            name = f"{key}_{role}"
-            if not r.path(name).exists():
-                continue
-            model = r.model(name)
-            if isinstance(model, compress.CompressedModel):
-                model = model.model
-            tr = nn.evaluate_accuracy(model, *r.dataset.xy(getattr(r.split, f"{role}_train")))
-            te = nn.evaluate_accuracy(model, *r.dataset.xy(getattr(r.split, f"{role}_test")))
-            table[name] = {
-                "train_accuracy": tr,
-                "test_accuracy": te,
-                "overfitting_gap": tr - te,
-            }
-    return table
-
-
-def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1,
-                 models: dict | None = None) -> dict:
-    """Write the report; ``models``, the accuracy tables by ``rep<r>``, is computed if not given."""
+def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
+    """Write the report from the evaluate stage's metric and accuracy files."""
     out = Path(out)
-    cells = []
+    cells, models = [], {}
     for rep in range(plan.repetitions):
         metric_dir = out / "checkpoints" / "metrics" / f"rep{rep}"
-        expected = _attack_cells(plan)
-        if expected and not metric_dir.exists():
-            raise DependencyError(f"report needs the evaluate stage output {metric_dir}")
-        if metric_dir.exists():
-            for p in sorted(metric_dir.glob("*.json")):
-                cells.append(checkpoint.read_json(p))
+        table = _accuracy_path(out, rep)
+        for path in [table, metric_dir] if _attack_cells(plan) else [table]:
+            if not path.exists():
+                raise DependencyError(f"report needs the evaluate stage output {path}")
+        models[f"rep{rep}"] = checkpoint.read_json(table)
+        cells += [checkpoint.read_json(p) for p in sorted(metric_dir.glob("*.json"))]
     aggregates = {}
     by_cell = {}
     for c in cells:
@@ -486,9 +491,6 @@ def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1,
     fail_path = out / "failures.json"
     if fail_path.exists():
         failures = checkpoint.read_json(fail_path)
-    if models is None:
-        models = {f"rep{rep}": _model_accuracies(_Rep(plan, out, rep))
-                  for rep in range(plan.repetitions)}
     report = {
         "schema_version": SCHEMA_VERSION,
         "plan_hash": plan.plan_hash(),
@@ -608,13 +610,10 @@ def run_plan(plan: ExperimentPlan, out, workers: int | None = None) -> dict:
     """Run every stage, one task per repetition, and return the report dictionary."""
     out = Path(out)
     workers = plan.workers if workers is None else workers
-    steps = (_train, _compress, _attack, _evaluate, _model_accuracies)
-    failures, models = [], {}
-    for rep, (_, _, failed, _, table) in enumerate(_run_per_rep(steps, plan, out, workers)):
-        failures += failed
-        models[f"rep{rep}"] = table
-    _record_failures(out, failures)
-    return stage_report(plan, out, workers, models=models)
+    steps = (_train, _compress, _attack, _evaluate)
+    results = _run_per_rep(steps, plan, out, workers)
+    _record_failures(out, [f for (_, _, failed, _) in results for f in failed])
+    return stage_report(plan, out, workers)
 
 
 def clear_downstream(out, stage: str):

@@ -36,6 +36,16 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="line 2"):
             data.load_csv(p, data.CsvSchema(class_count=3))
 
+    @pytest.mark.parametrize("column, label", [(0, [1, 4]), (2, [3, 6]), (-3, [1, 4]),
+                                               (3, None), (-4, None), (7, None)])
+    def test_label_column_must_be_in_the_row(self, tmp_path, column, label):
+        p = self.write(tmp_path, "1,2,3\n4,5,6\n")
+        if label is None:
+            with pytest.raises(DataError, match=rf"label_column {column} .*3-column"):
+                data.load_csv(p, data.CsvSchema(label_column=column))
+        else:
+            assert data.load_csv(p, data.CsvSchema(label_column=column)).labels.tolist() == label
+
     def test_header_flag(self, tmp_path):
         p = self.write(tmp_path, "f,label\n1.0,0\n2.0,1\n")
         ds = data.load_csv(p, data.CsvSchema(has_header=True))

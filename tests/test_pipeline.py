@@ -234,20 +234,59 @@ class TestRepetitionTask:
         assert report["failures"] == []
         assert loads == {}
 
-    @pytest.mark.parametrize("damaged", [None, "nr_loss__int8.json"])
-    def test_resume_loads_each_model_at_most_once(self, tmp_path, monkeypatch, damaged):
+    @pytest.mark.parametrize("damaged, loaded", [
+        (None, []),
+        ("nr_loss__int8.json", ["int8_shadow.json", "int8_victim.json"]),
+    ], ids=["plain", "damaged_score"])
+    def test_resume_loads_each_model_at_most_once(self, tmp_path, monkeypatch, damaged, loaded):
         plan = parse_plan_text(EVERY_KIND)
         out = tmp_path / "out"
         pipeline.run_plan(plan, out)
         before = {f: (out / f).read_bytes() for f in output_files(out)}
-        if damaged is not None:  # its cell runs again, and needs models before the report
+        if damaged is not None:  # only its cell runs again, on the models it reads
             score = out / "checkpoints" / "scores" / "rep0" / damaged
             score.write_bytes(score.read_bytes()[:40])
         loads = counted_loads(monkeypatch)
         pipeline.run_plan(plan, out)
-        models = {p.name for p in (out / "checkpoints" / "models" / "rep0").glob("*.json")}
-        assert set(loads) == models and max(loads.values()) == 1
+        assert loads == collections.Counter(loaded)  # each once, and the report loads none
         assert {f: (out / f).read_bytes() for f in output_files(out)} == before
+
+    def test_report_stage_reads_only_files(self, tmp_path, monkeypatch):
+        plan = parse_plan_text(EVERY_KIND)
+        out = tmp_path / "out"
+        pipeline.run_plan(plan, out)
+        before = {f: (out / f).read_bytes() for f in output_files(out) if f.parts[0] == "report"}
+        shutil.rmtree(out / "report")
+        shutil.rmtree(out / "checkpoints" / "models")
+
+        def no_dataset(plan):
+            raise AssertionError("the report built a dataset")
+
+        monkeypatch.setattr(pipeline, "build_dataset", no_dataset)
+        loads = counted_loads(monkeypatch)
+        pipeline.run_stage(plan, out, "report")
+        assert loads == {}
+        assert {f: (out / f).read_bytes() for f in output_files(out)
+                if f.parts[0] == "report"} == before
+
+    def test_report_needs_the_accuracy_table(self, tmp_path):
+        plan = parse_plan_text(MINIMAL)
+        out = tmp_path / "out"
+        pipeline.run_plan(plan, out)
+        table = out / "checkpoints" / "metrics" / "models_rep0.json"
+        assert set(json.loads(table.read_text())) == {
+            f"{k}_{r}" for k in ("original", "prune70") for r in ("victim", "shadow")}
+        table.unlink()
+        with pytest.raises(DependencyError, match="models_rep0.json"):
+            pipeline.stage_report(plan, out)
+
+    def test_plan_without_attack_cells_gets_a_table(self, tmp_path):
+        plan = parse_plan_text(MINIMAL.replace("nr = loss\nnr_targets = prune70\n", ""))
+        assert pipeline._attack_cells(plan) == []
+        out = tmp_path / "out"
+        report = pipeline.run_plan(plan, out)
+        assert report["cells"] == [] and len(report["models"]["rep0"]) == 4
+        assert (out / "checkpoints" / "metrics" / "models_rep0.json").exists()
 
     def test_stored_models_equal_their_checkpoints(self, tmp_path, monkeypatch):
         from compaudit import checkpoint, compress
@@ -428,6 +467,34 @@ class TestCli:
         assert args.out == str(tmp_path / "envout")
         assert args.workers == 1
 
+    @pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
+    def test_no_worker_variable_means_the_plan_value(self, monkeypatch, value):
+        monkeypatch.delenv("COMPAUDIT_WORKERS", raising=False)
+        if value is not None:
+            monkeypatch.setenv("COMPAUDIT_WORKERS", value)
+        assert cli.build_parser().parse_args(["--plan", "p.ini"]).workers is None
+
+    @pytest.mark.parametrize("source, value", [
+        ("env", "two"), ("env", "0"), ("env", "-1"), ("env", "1.5"),
+        ("flag", "0"), ("flag", "-2"), ("flag", "two"),
+    ])
+    def test_bad_worker_count_is_one_line_exit_two(self, tmp_path, monkeypatch, capsys,
+                                                   source, value):
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(MINIMAL, encoding="utf-8")
+        argv = ["--plan", str(plan_path), "--out", str(tmp_path / "o")]
+        monkeypatch.delenv("COMPAUDIT_WORKERS", raising=False)
+        if source == "env":
+            monkeypatch.setenv("COMPAUDIT_WORKERS", value)
+        else:
+            argv += ["--workers", value]
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and repr(value) in err[0]
+        assert not (tmp_path / "o").exists()
+
     def test_full_run_exit_zero(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.ini"
         plan_path.write_text(MINIMAL, encoding="utf-8")
@@ -537,6 +604,7 @@ class TestCli:
     @pytest.mark.parametrize("damaged", [
         "checkpoints/scores/rep0/nr_loss__prune70.json",
         "checkpoints/metrics/rep0/nr_loss__prune70.json",
+        "checkpoints/metrics/models_rep0.json",
     ])
     def test_resume_recomputes_a_damaged_output(self, tmp_path, damaged):
         plan_path = tmp_path / "plan.ini"

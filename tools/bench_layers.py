@@ -20,6 +20,7 @@ drifts. The layers are
   (400 x 93), with the multi-reference attack's MLP hyperparameters;
 - a logistic-regression fit (600 x 30, default hyperparameters);
 - ``kmeans_1d`` on 32,768 values with k = 8;
+- a forward pass of a 64-256-128-10 model on 300 rows;
 - checkpoint save and load of a 64-256-128-10 model and of its 8-cluster
   version;
 - one training epoch of that model on 300 rows in batches of 32: plain
@@ -32,7 +33,9 @@ drifts. The layers are
 - a 300-tree random-forest fit on 400 rows of 45 sorted posteriors next to
   a 45-class one-hot label (90 columns), that forest's scores on 200 new
   rows, and its out-of-bag scores on the 400 training rows;
-- threshold calibration on 300 member and 300 non-member values.
+- threshold calibration on 300 member and 300 non-member values, and one
+  cell's metrics on those values: balanced accuracy, AUC, and the TPR at
+  FPR caps 0.01 and 0.001.
 
 Each sample records wall time (``samples``, ``median``) and the process's
 CPU time (``cpu_samples``, ``cpu_median``). On a shared machine the wall
@@ -59,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from compaudit import attacks, checkpoint, compress, meta, nn
+from compaudit import attacks, checkpoint, compress, meta, metrics, nn
 
 REPEATS = 5
 
@@ -120,6 +123,7 @@ def layers(tmp: Path) -> dict:
     forest = meta.fit("rf", X4, y4, forest_hyper, 15)
     calibration = np.random.default_rng(16)
     member, nonmember = calibration.normal(size=300), calibration.normal(0.3, 1.0, size=300)
+    cell = metrics.AttackScoreSet(member, nonmember, decision_threshold=0.15)
     paths = {"model": tmp / "model.json", "cluster": tmp / "cluster.json"}
     checkpoint.save_model(paths["model"], model)
     checkpoint.save_model(paths["cluster"], clustered)
@@ -128,6 +132,7 @@ def layers(tmp: Path) -> dict:
         "mlp_fit_adv2_s": lambda: meta.fit("mlp", X2, y2, attacks.MR_MLP_DEFAULTS[attacks.ADV2], 8),
         "lr_fit_s": lambda: meta.fit("lr", X3, y3, seed=9),
         "kmeans_1d_s": lambda: compress.kmeans_1d(weights, 8, seed=10),
+        "forward_s": lambda: nn.forward(model, xy[0]),
         "save_model_s": lambda: checkpoint.save_model(paths["model"], model),
         "load_model_s": lambda: checkpoint.load_model(paths["model"]),
         "save_cluster_s": lambda: checkpoint.save_model(paths["cluster"], clustered),
@@ -142,6 +147,8 @@ def layers(tmp: Path) -> dict:
         "rf_score_s": lambda: meta.score_proba(forest, X5),
         "rf_oob_s": lambda: meta.out_of_bag_proba(forest, X4),
         "calibrate_s": lambda: attacks.calibrate_threshold(member, nonmember),
+        "metrics_eval_s": lambda: (metrics.balanced_accuracy(cell), metrics.roc_auc(cell),
+                                   [metrics.tpr_at_fpr(cell, cap) for cap in (0.01, 0.001)]),
     }
 
 
