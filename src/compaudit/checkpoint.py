@@ -25,7 +25,12 @@ one object per tree holding the five flat node arrays of ``meta.Tree``::
     {"feature": [...], "threshold": [...], "left": [...], "right": [...],
      "value": [...]}
 
-Every file is written atomically by ``write_json``.
+Every file is written atomically by ``write_json``. A compressed model's
+arrays hold few distinct values: at most 255 weights on the int8 grid, one
+per centroid when clustered, many zeros when pruned, and small integers in
+masks and assignments. ``save_model`` therefore has ``write_json`` format
+each distinct value of them once; the bytes are the same as the plain
+encoder's.
 """
 
 import json
@@ -44,7 +49,7 @@ FORMAT = "compaudit-checkpoint"
 VERSION = 1
 
 
-def write_json(payload, path):
+def write_json(payload, path, few_values: bool = False):
     """Write ``payload`` as sorted-key compact JSON, replacing ``path`` atomically.
 
     Numpy arrays may stand anywhere in the payload, and the bytes are those
@@ -56,13 +61,17 @@ def write_json(payload, path):
     target only when complete. A payload that fails to encode fails
     mid-write, and like an interrupted write it never leaves a truncated
     file under the final name or disturbs the previous one.
+
+    With ``few_values``, each array's text is put together from one
+    formatted text per distinct value (see ``_few_values_text``), which
+    pays when the values repeat; the bytes do not change.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            _encode(payload, fh.write)
+            _encode(payload, fh.write, few_values)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -71,6 +80,23 @@ def write_json(payload, path):
 
 def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _few_values_text(a: np.ndarray) -> str:
+    """``_dumps(a.tolist())`` of a numeric array, formatting each distinct value once.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own
+    text; ``json`` writes the distinct values, non-finite ones included,
+    and their texts are gathered back into the array's nesting.
+    """
+    if a.dtype.kind not in "biuf" or a.ndim == 0 or a.size == 0:
+        return _dumps(a.tolist())
+    bits, index = np.unique(a.view(f"u{a.itemsize}"), return_inverse=True)
+    texts = np.array(_dumps(bits.view(a.dtype).tolist())[1:-1].split(","), dtype=object)
+    items = texts[index.ravel()].tolist()
+    for width in reversed(a.shape):  # join the innermost axis first
+        items = ["[" + ",".join(items[i : i + width]) + "]" for i in range(0, len(items), width)]
+    return items[0]
 
 
 def _holds_array(value) -> bool:
@@ -83,24 +109,24 @@ def _holds_array(value) -> bool:
     return any(_holds_array(v) for v in value)
 
 
-def _encode(value, write):
+def _encode(value, write, few_values):
     """Write ``value``'s text piece by piece, descending only where arrays are."""
     if isinstance(value, np.ndarray):
-        write(_dumps(value.tolist()))
+        write(_few_values_text(value) if few_values else _dumps(value.tolist()))
     elif not _holds_array(value):
         write(_dumps(value))
     elif isinstance(value, dict):
         sep = "{"
         for key, item in sorted(value.items()):
             write(sep + _dumps({key: 0})[1:-2])  # the key and its colon, as json writes them
-            _encode(item, write)
+            _encode(item, write, few_values)
             sep = ","
         write("}")
     else:
         sep = "["
         for item in value:
             write(sep)
-            _encode(item, write)
+            _encode(item, write, few_values)
             sep = ","
         write("]")
 
@@ -144,14 +170,16 @@ def save_model(path, model: FcnModel | CompressedModel):
             "degree_tag": degree,
         },
         path,
+        few_values=constraint is not None,
     )
 
 
 def load_model(path) -> FcnModel | CompressedModel:
     """Read a model checkpoint; returns a CompressedModel when constrained.
 
-    A missing or malformed field, the constraint's included, or weights
-    that break the constraint raise CheckpointError.
+    A missing or malformed field, the constraint's included, a weight or
+    bias that is not finite, or weights that break the constraint raise
+    CheckpointError.
     """
     d = _load(path)
     if d.get("kind") != "fcn":
@@ -163,6 +191,8 @@ def load_model(path) -> FcnModel | CompressedModel:
             [np.asarray(b, dtype=float) for b in d["biases"]],
             [float(p) for p in d["dropout_rates"]],
         )
+        if not all(np.all(np.isfinite(a)) for a in model.weights + model.biases):
+            raise ValueError("non-finite weights or biases")
         c = d.get("constraint")
         if c is None:
             return model

@@ -9,7 +9,10 @@ Gaussian noise. DP-SGD clips by ghost norms (Goodfellow 2015; Li et al.
 2022): each sample's gradient norm and the clipped sum come from the
 batch's layer deltas and layer inputs, without building per-sample
 gradients; a DP-SGD step costs about 2.5 plain ones, most of the extra
-being the Gaussian noise draws.
+being the Gaussian noise draws. A training run allocates its activation,
+dropout-mask and gradient arrays once and does every step in place in
+them, each operation in the order a step on new arrays would take, so
+the bits are the same.
 
 Everything is deterministic: the same model, data, config, and seed
 reproduce a bitwise-identical trained model. Posteriors are produced by a
@@ -161,11 +164,12 @@ def one_hot(labels: np.ndarray | int, class_count: int) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted for stability."""
-    z = logits - np.max(logits, axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax, shifted for stability; ``out`` may be ``logits`` itself."""
+    e = np.subtract(logits, np.max(logits, axis=1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=1, keepdims=True)
+    return e
 
 
 def _validate_inputs(model: FcnModel, inputs: np.ndarray) -> np.ndarray:
@@ -179,32 +183,56 @@ def _validate_inputs(model: FcnModel, inputs: np.ndarray) -> np.ndarray:
     return X
 
 
-def _forward_pass(weights, biases, dropout_rates, X, rng):
-    """Run the network, caching activations for backprop.
+class _Buffers:
+    """The arrays of forward and backward passes over up to ``rows`` rows.
 
-    Returns (hs, zs, masks, logits): hs[l] is the input to layer l (after
-    dropout), zs[l] the pre-activation of hidden layer l, masks[l] the
-    inverted-dropout mask (or None). ``rng`` is None outside train mode.
+    A training run allocates one set and reuses it at every step; a batch
+    uses the first rows. Row-shaped: each hidden layer's activations ``h``,
+    dropout masks and ReLU gates, and each layer's deltas ``d``; the output
+    layer's ``d`` holds the logits, then the posteriors, then the output
+    delta. With ``grads``, weight-shaped too: each layer's gradients ``dW``
+    and ``db``, and the scratch ``tW`` and ``tb`` that the DP noise and the
+    L2 term pass through.
     """
-    n_layers = len(weights)
-    hs = [X]
-    zs, masks = [], []
-    h = X
-    for l in range(n_layers - 1):
-        z = h @ weights[l].T + biases[l]
-        a = np.maximum(z, 0.0)
-        p = dropout_rates[l]
+
+    def __init__(self, layer_sizes, rows: int, grads: bool = True):
+        def arrays(shapes):
+            return [np.empty(s) for s in shapes]
+
+        hidden = [(rows, k) for k in layer_sizes[1:-1]]
+        self.h, self.mask, self.gate = arrays(hidden), arrays(hidden), arrays(hidden)
+        self.d = arrays((rows, k) for k in layer_sizes[1:])
+        if grads:
+            weights = list(zip(layer_sizes[1:], layer_sizes[:-1]))
+            self.dW, self.tW = arrays(weights), arrays(weights)
+            self.db, self.tb = arrays(layer_sizes[1:]), arrays(layer_sizes[1:])
+
+
+def _forward_pass(weights, biases, dropout_rates, X, rng, buf: _Buffers):
+    """Run the network on the rows of ``X``, caching activations for backprop.
+
+    Returns (hs, masks, logits), all but ``X`` views of ``buf``: hs[l] is
+    the input to layer l (after dropout; hs[0] is ``X``), masks[l] the
+    inverted-dropout mask of hidden layer l (or None). ``rng`` is None
+    outside train mode.
+    """
+    B = X.shape[0]
+    hs, masks = [X], []
+    for l, p in enumerate(dropout_rates):
+        a = np.matmul(hs[l], weights[l].T, out=buf.h[l][:B])
+        a += biases[l]
+        np.maximum(a, 0.0, out=a)
+        mask = None
         if rng is not None and p > 0.0:
-            mask = (rng.random(a.shape) >= p) / (1.0 - p)
-            a = a * mask
-        else:
-            mask = None
-        zs.append(z)
-        masks.append(mask)
+            mask = rng.random(out=buf.mask[l][:B])
+            np.greater_equal(mask, p, out=mask)
+            mask /= 1.0 - p
+            a *= mask
         hs.append(a)
-        h = a
-    logits = h @ weights[-1].T + biases[-1]
-    return hs, zs, masks, logits
+        masks.append(mask)
+    logits = np.matmul(hs[-1], weights[-1].T, out=buf.d[-1][:B])
+    logits += biases[-1]
+    return hs, masks, logits
 
 
 def forward(
@@ -216,8 +244,9 @@ def forward(
     """
     X = _validate_inputs(model, inputs)
     rng = np.random.default_rng(_norm_seed(seed)) if train_mode else None
-    _, _, _, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, rng)
-    return softmax(logits)
+    buf = _Buffers(model.layer_sizes, X.shape[0], grads=False)
+    _, _, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, rng, buf)
+    return softmax(logits, out=logits)
 
 
 def cross_entropy_loss(posterior: np.ndarray, label: int) -> float:
@@ -249,23 +278,35 @@ def evaluate_accuracy(model: FcnModel, X: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.argmax(P, axis=1) == np.asarray(y)))
 
 
-def _layer_deltas(weights, zs, masks, delta):
+def _layer_deltas(weights, hs, masks, delta, buf: _Buffers):
     """Back-propagate the output delta: deltas[l] is the loss gradient with
-    respect to layer l's pre-activation output, one row per sample."""
+    respect to layer l's pre-activation output, one row per sample.
+
+    A hidden unit passes its delta where its activation is positive. After
+    dropout that is where its pre-activation was, except at dropped units,
+    whose delta the mask has already made a zero of the same sign.
+    """
+    B = delta.shape[0]
     deltas = [delta]
     for l in range(len(weights) - 1, 0, -1):
-        delta = delta @ weights[l]
+        delta = np.matmul(delta, weights[l], out=buf.d[l - 1][:B])
         if masks[l - 1] is not None:
-            delta = delta * masks[l - 1]
-        delta = delta * (zs[l - 1] > 0.0)
+            delta *= masks[l - 1]
+        delta *= np.greater(hs[l], 0.0, out=buf.gate[l - 1][:B])
         deltas.append(delta)
     return deltas[::-1]
 
 
-def _mean_rule(weights, hs, zs, masks, delta):
+def _gradients(deltas, hs, buf: _Buffers):
+    """Each layer's weight and bias gradients from its deltas and inputs, into ``buf``."""
+    return ([np.matmul(d.T, h, out=dW) for d, h, dW in zip(deltas, hs, buf.dW)],
+            [np.sum(d, axis=0, out=db) for d, db in zip(deltas, buf.db)])
+
+
+def _mean_rule(weights, hs, masks, delta, buf: _Buffers):
     """Plain SGD gradient rule: batch-mean gradients from the output delta P - Y."""
-    deltas = _layer_deltas(weights, zs, masks, delta / delta.shape[0])
-    return [d.T @ h for d, h in zip(deltas, hs)], [d.sum(axis=0) for d in deltas]
+    delta /= delta.shape[0]
+    return _gradients(_layer_deltas(weights, hs, masks, delta, buf), hs, buf)
 
 
 def loss_and_gradients(
@@ -285,12 +326,13 @@ def loss_and_gradients(
     labels = np.asarray(labels, dtype=np.int64)
     Y = one_hot(labels, model.output_dim)
     rng = np.random.default_rng(_norm_seed(seed)) if train_mode else None
-    hs, zs, masks, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, rng)
-    P = softmax(logits)
+    buf = _Buffers(model.layer_sizes, X.shape[0])
+    hs, masks, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, rng, buf)
+    P = softmax(logits, out=logits)
     loss = float(np.mean(cross_entropy_losses(P, labels)))
     if l2_lambda > 0:
         loss += 0.5 * l2_lambda * sum(float(np.sum(w * w)) for w in model.weights)
-    dWs, dbs = _mean_rule(model.weights, hs, zs, masks, P - Y)
+    dWs, dbs = _mean_rule(model.weights, hs, masks, P - Y, buf)
     if l2_lambda > 0:
         dWs = [dW + l2_lambda * w for dW, w in zip(dWs, model.weights)]
     return loss, dWs, dbs
@@ -314,8 +356,9 @@ def per_sample_gradients(
     labels = np.asarray(labels, dtype=np.int64)
     Y = one_hot(labels, model.output_dim)
     rng = np.random.default_rng(_norm_seed(seed)) if train_mode else None
-    hs, zs, masks, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, rng)
-    pbs = _layer_deltas(model.weights, zs, masks, softmax(logits) - Y)
+    buf = _Buffers(model.layer_sizes, X.shape[0], grads=False)
+    hs, masks, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, rng, buf)
+    pbs = _layer_deltas(model.weights, hs, masks, softmax(logits) - Y, buf)
     pWs = [np.einsum("bo,bi->boi", d, h) for d, h in zip(pbs, hs)]
     sq = sum(np.sum(pW**2, axis=(1, 2)) + np.sum(pb**2, axis=1) for pW, pb in zip(pWs, pbs))
     return pWs, pbs, np.sqrt(sq)
@@ -340,12 +383,13 @@ class _TrainState:
         return self.constraint.weights(self.params, self.shapes)
 
     def apply_update(self, dWs, dbs, lr: float, momentum: float):
-        for l, (db, b) in enumerate(zip(dbs, self.biases)):
-            self.vel_b[l] = momentum * self.vel_b[l] - lr * db
-            b += self.vel_b[l]
-        for l, g in enumerate(self.constraint.gradients(dWs)):
-            self.vel[l] = momentum * self.vel[l] - lr * g
-            self.params[l] += self.vel[l]
+        """One momentum step v = m v - lr g, p += v, in place; scales the gradients in place."""
+        grads = list(dbs) + list(self.constraint.gradients(dWs))
+        for v, g, p in zip(self.vel_b + self.vel, grads, self.biases + self.params):
+            v *= momentum
+            g *= lr
+            v -= g
+            p += v
         self.constraint.project(self.params)
 
     def snapshot(self, template: FcnModel) -> FcnModel:
@@ -378,17 +422,19 @@ def _dp_rule(dp: DpConfig, rng_noise: np.random.Generator):
     ``dp.clip_norm``, plus Gaussian noise drawn per layer from layer 0,
     weight matrix first, then bias."""
 
-    def rule(eff, hs, zs, masks, delta):
+    def rule(eff, hs, masks, delta, buf):
         B = delta.shape[0]
-        deltas = _layer_deltas(eff, zs, masks, delta)
+        deltas = _layer_deltas(eff, hs, masks, delta, buf)
         # min(1, C / norm), and 1 for a zero gradient
         factors = dp.clip_norm / np.maximum(_ghost_norms(deltas, hs), dp.clip_norm)
         std = dp.noise_multiplier * dp.clip_norm / B
-        dWs, dbs = [], []
-        for d, h in zip(deltas, hs):
-            d = factors[:, None] * d
-            dWs.append(d.T @ h / B + std * rng_noise.standard_normal((d.shape[1], h.shape[1])))
-            dbs.append(d.sum(axis=0) / B + std * rng_noise.standard_normal(d.shape[1]))
+        for d in deltas:
+            d *= factors[:, None]
+        dWs, dbs = _gradients(deltas, hs, buf)
+        for dW, db, tW, tb in zip(dWs, dbs, buf.tW, buf.tb):
+            for g, noise in ((dW, tW), (db, tb)):  # a layer's weight noise, then its bias noise
+                g /= B
+                g += np.multiply(rng_noise.standard_normal(out=noise), std, out=noise)
         return dWs, dbs
 
     return rule
@@ -397,7 +443,7 @@ def _dp_rule(dp: DpConfig, rng_noise: np.random.Generator):
 def _fit(model, train_set, valid_set, config, constraint, rule) -> FcnModel:
     """The training loop shared by ``train`` and ``train_dpsgd``; ``rule``
     maps a batch's cached activations and output delta (P - Y) to the
-    gradients before L2."""
+    gradients before L2. Each step works in the one ``_Buffers`` of the run."""
     X, y = _as_xy(train_set)
     X = _validate_inputs(model, X)
     if X.shape[0] == 0:
@@ -407,6 +453,7 @@ def _fit(model, train_set, valid_set, config, constraint, rule) -> FcnModel:
     rng = np.random.default_rng(_norm_seed(config.seed))
     state = _TrainState(model, constraint)
     n = X.shape[0]
+    buf = _Buffers(model.layer_sizes, min(config.batch_size, n))
     best: FcnModel | None = None
     best_acc = -np.inf
     stale = 0
@@ -415,14 +462,16 @@ def _fit(model, train_set, valid_set, config, constraint, rule) -> FcnModel:
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             eff = state.effective_weights()
-            hs, zs, masks, logits = _forward_pass(eff, state.biases, model.dropout_rates, X[idx], rng)
-            P = softmax(logits)
+            hs, masks, logits = _forward_pass(eff, state.biases, model.dropout_rates, X[idx], rng, buf)
+            P = softmax(logits, out=logits)
             loss = float(np.mean(cross_entropy_losses(P, y[idx])))
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
-            dWs, dbs = rule(eff, hs, zs, masks, P - one_hot(y[idx], model.output_dim))
+            P[np.arange(idx.shape[0]), y[idx]] -= 1.0  # P - Y, without the one-hot Y
+            dWs, dbs = rule(eff, hs, masks, P, buf)
             if config.l2_lambda > 0:
-                dWs = [dW + config.l2_lambda * w for dW, w in zip(dWs, eff)]
+                for dW, w, scratch in zip(dWs, eff, buf.tW):
+                    dW += np.multiply(w, config.l2_lambda, out=scratch)
             state.apply_update(dWs, dbs, config.learning_rate, config.momentum)
         if valid_set is not None:
             snap = state.snapshot(model)

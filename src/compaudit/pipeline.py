@@ -33,7 +33,6 @@ import csv
 import functools
 import hashlib
 import shutil
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +593,10 @@ def _run_per_rep(steps, plan: ExperimentPlan, out: Path, workers: int) -> list[l
     task = functools.partial(_rep_task, steps)
     if workers <= 1 or len(reps) <= 1:
         return [task(plan, str(out), rep) for rep in reps]
+    # imported here: the process-pool machinery costs memory and start-up time
+    # that a run without a pool has no use for
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, [plan] * len(reps), [str(out)] * len(reps), reps))
 

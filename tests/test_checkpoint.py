@@ -111,6 +111,25 @@ class TestModelCheckpoints:
             checkpoint.load_model(p)
         assert str(p) in str(err.value)
 
+    @pytest.mark.parametrize("make, edit", [
+        (lambda: nn.init_fcn([4, 8, 3], seed=1),
+         lambda d: d["weights"][1][2].__setitem__(5, float("nan"))),
+        (lambda: compress.prune_l1(sample_model(), 0.5),
+         lambda d: d["weights"][0][0].__setitem__(
+             d["constraint"]["masks"][0][0].index(1), float("inf"))),
+        (lambda: sample_model(), lambda d: d["biases"][0].__setitem__(0, float("-inf"))),
+    ], ids=["nan_weight", "inf_kept_pruned_weight", "inf_bias"])
+    def test_non_finite_parameters_are_checkpoint_error(self, tmp_path, make, edit):
+        # json reads NaN and Infinity; a model holding them must not load
+        p = tmp_path / "m.json"
+        checkpoint.save_model(p, make())
+        d = json.loads(p.read_text())
+        edit(d)
+        p.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="non-finite") as err:
+            checkpoint.load_model(p)
+        assert str(p) in str(err.value)
+
 
 class TestClassifierCheckpoints:
     def fit_data(self, seed=0):
@@ -229,31 +248,51 @@ def dumped(payload) -> bytes:
     return json.dumps(as_lists(payload), sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+# a model of each kind that a checkpoint holds, by name
+SAVED_MODELS = {
+    "plain": lambda m: m,
+    **COMPRESSIONS,
+    "int8": lambda m: compress.quantize_int8(m),
+    "cluster8": lambda m: compress.cluster_weights(m, 8, seed=0),
+    "prune70": lambda m: compress.prune_l1(m, 0.7),
+}
+
+
 class TestStreamedWrite:
     """``write_json`` takes numpy arrays anywhere and streams them one at a time."""
 
-    @pytest.mark.parametrize("kind", [None] + sorted(constraints.KINDS))
+    @pytest.mark.parametrize("kind", sorted(SAVED_MODELS))
     def test_model_bytes_equal_json_dumps_of_lists(self, tmp_path, monkeypatch, kind):
-        model = sample_model()
+        model = nn.init_fcn([5, 12, 3], seed=1)
         model.weights[0][0, :2] = [-0.0, 0.0]
-        model = model if kind is None else COMPRESSIONS[kind](model)
-        payloads = []
+        model = SAVED_MODELS[kind](model)
+        calls = []
         real = checkpoint.write_json
 
-        def recording(payload, path):
-            payloads.append(payload)
-            real(payload, path)
+        def recording(payload, path, **kwargs):
+            calls.append((payload, kwargs))
+            real(payload, path, **kwargs)
 
         monkeypatch.setattr(checkpoint, "write_json", recording)
         p = tmp_path / "m.json"
         checkpoint.save_model(p, model)
-        (payload,) = payloads
+        ((payload, kwargs),) = calls
         assert all(isinstance(w, np.ndarray) for w in payload["weights"] + payload["biases"])
+        # a compressed model's arrays are formatted once per distinct value
+        assert kwargs == {"few_values": kind != "plain"}
         assert p.read_bytes() == dumped(payload)
 
-    def test_signed_zeros_empty_arrays_and_nesting(self, tmp_path):
+    @pytest.mark.parametrize("few_values", [False, True])
+    def test_signed_zeros_empty_arrays_and_nesting(self, tmp_path, few_values):
         payload = {
             "zeros": np.array([-0.0, 0.0, -1e-300 * 1e-300]),
+            "matrix": np.array([[-0.0, 0.0, 1.5, -0.0], [0.0, 1.5, 2**-1074, 0.0]]),
+            "one_row": np.array([[0.25, -0.0, 0.25]]),
+            "one_column": np.array([[3.0], [3.0], [-1e308]]),
+            "non_finite": np.array([[np.nan, 1.0, np.inf], [-np.inf, np.nan, 1.0]]),
+            "ints": [np.array([[3, -2, 3]], dtype=np.int64), np.arange(4, dtype=np.uint8),
+                     np.array([2**63 - 1, -(2**63), 0])],
+            "three_axes": np.arange(24.0).reshape(2, 3, 4) % 5 - 2.0,
             "empty": [np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3), dtype=np.int64)],
             "nested": {"b": [np.arange(3), (np.array([[True, False]]), "x")],
                        "a": {"deep": np.array(2.5)}, "plain": [1, None, "t"]},
@@ -264,7 +303,7 @@ class TestStreamedWrite:
             "other_keys": [{True: np.zeros(1), False: 1}, {None: np.zeros(1)}],
         }
         p = tmp_path / "x.json"
-        checkpoint.write_json(payload, p)
+        checkpoint.write_json(payload, p, few_values=few_values)
         assert p.read_bytes() == dumped(payload)
         assert b"-0.0" in p.read_bytes()
 
@@ -273,14 +312,15 @@ class TestStreamedWrite:
         {"a": [np.arange(2), {1, 2}]},
         {"a": np.array([object()], dtype=object)},
     ], ids=["after_an_array", "inside_a_list", "array_element"])
-    def test_failure_mid_stream_keeps_the_previous_file(self, tmp_path, bad):
+    @pytest.mark.parametrize("few_values", [False, True])
+    def test_failure_mid_stream_keeps_the_previous_file(self, tmp_path, bad, few_values):
         p = tmp_path / "x.json"
         checkpoint.write_json({"a": np.arange(4)}, p)
         before = p.read_bytes()
         with pytest.raises(TypeError):
-            checkpoint.write_json(bad, p)
+            checkpoint.write_json(bad, p, few_values=few_values)
         assert p.read_bytes() == before
         assert sorted(q.name for q in tmp_path.iterdir()) == ["x.json"]
         with pytest.raises(TypeError):
-            checkpoint.write_json(bad, tmp_path / "new" / "y.json")
+            checkpoint.write_json(bad, tmp_path / "new" / "y.json", few_values=few_values)
         assert list((tmp_path / "new").iterdir()) == []

@@ -278,8 +278,9 @@ class TestDpStepOracle:
         factors = np.minimum(1.0, clip / norms)
         assert np.any(factors < 1.0) and np.any(factors == 1.0)
 
-        hs, zs, masks, logits = nn._forward_pass(eff, state.biases, model.dropout_rates, X, None)
-        deltas = nn._layer_deltas(eff, zs, masks, nn.softmax(logits) - nn.one_hot(y, 3))
+        buf = nn._Buffers(model.layer_sizes, X.shape[0])
+        hs, masks, logits = nn._forward_pass(eff, state.biases, model.dropout_rates, X, None, buf)
+        deltas = nn._layer_deltas(eff, hs, masks, nn.softmax(logits) - nn.one_hot(y, 3), buf)
         assert np.allclose(nn._ghost_norms(deltas, hs), norms, rtol=1e-12, atol=0.0)
 
         rng_noise = np.random.default_rng(np.random.SeedSequence([seed, 0x6E01]))
@@ -296,6 +297,119 @@ class TestDpStepOracle:
         got = nn.train_dpsgd(model, (X, y), cfg, dp, constraint)
         for g, e in zip(got.weights + got.biases, expected.weights + expected.biases):
             assert np.allclose(g, e, rtol=0.0, atol=1e-12)
+
+
+def reference_fit(model, train_set, valid_set, config, constraint=None, dp=None):
+    """The training loop as it was before its steps reused buffers: every step
+    makes new arrays. The buffered loop must give the same bits."""
+    X, y = train_set
+    rng = np.random.default_rng(config.seed)
+    rng_noise = np.random.default_rng(np.random.SeedSequence([config.seed, 0x6E01]))
+    constraint = constraint or cons.Unconstrained()
+    shapes = [w.shape for w in model.weights]
+    params = constraint.parameters(model.weights)
+    vel = [np.zeros_like(p) for p in params]
+    biases = [b.copy() for b in model.biases]
+    vel_b = [np.zeros_like(b) for b in biases]
+    lr, momentum = config.learning_rate, config.momentum
+
+    def snapshot():
+        weights = [w.copy() for w in constraint.weights(params, shapes)]
+        return nn.FcnModel(model.layer_sizes, weights, [b.copy() for b in biases],
+                           model.dropout_rates)
+
+    best, best_acc, stale = None, -np.inf, 0
+    for _ in range(config.max_epochs):
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], config.batch_size):
+            idx = order[start : start + config.batch_size]
+            B = idx.shape[0]
+            eff = constraint.weights(params, shapes)
+            hs, zs, masks = [X[idx]], [], []
+            for l, p in enumerate(model.dropout_rates):
+                z = hs[-1] @ eff[l].T + biases[l]
+                a = np.maximum(z, 0.0)
+                mask = (rng.random(a.shape) >= p) / (1.0 - p) if p > 0.0 else None
+                if mask is not None:
+                    a = a * mask
+                zs.append(z)
+                masks.append(mask)
+                hs.append(a)
+            logits = hs[-1] @ eff[-1].T + biases[-1]
+            e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+            delta = e / np.sum(e, axis=1, keepdims=True) - nn.one_hot(y[idx], model.output_dim)
+            if dp is None:
+                delta = delta / B
+            deltas = [delta]
+            for l in range(len(eff) - 1, 0, -1):
+                delta = delta @ eff[l]
+                if masks[l - 1] is not None:
+                    delta = delta * masks[l - 1]
+                delta = delta * (zs[l - 1] > 0.0)
+                deltas.append(delta)
+            deltas = deltas[::-1]
+            if dp is None:
+                dWs = [d.T @ h for d, h in zip(deltas, hs)]
+                dbs = [d.sum(axis=0) for d in deltas]
+            else:
+                sq = sum(np.sum(d * d, axis=1) * (np.sum(h * h, axis=1) + 1.0)
+                         for d, h in zip(deltas, hs))
+                factors = dp.clip_norm / np.maximum(np.sqrt(sq), dp.clip_norm)
+                std = dp.noise_multiplier * dp.clip_norm / B
+                dWs, dbs = [], []
+                for d, h in zip(deltas, hs):
+                    d = factors[:, None] * d
+                    dWs.append(d.T @ h / B
+                               + std * rng_noise.standard_normal((d.shape[1], h.shape[1])))
+                    dbs.append(d.sum(axis=0) / B + std * rng_noise.standard_normal(d.shape[1]))
+            if config.l2_lambda > 0:
+                dWs = [dW + config.l2_lambda * w for dW, w in zip(dWs, eff)]
+            for l, db in enumerate(dbs):
+                vel_b[l] = momentum * vel_b[l] - lr * db
+                biases[l] += vel_b[l]
+            for l, g in enumerate(constraint.gradients(dWs)):
+                vel[l] = momentum * vel[l] - lr * g
+                params[l] += vel[l]
+            constraint.project(params)
+        if valid_set is not None:
+            snap = snapshot()
+            acc = nn.evaluate_accuracy(snap, *valid_set)
+            if acc > best_acc:
+                best_acc, best, stale = acc, snap, 0
+            else:
+                stale += 1
+                if config.early_stop_patience > 0 and stale >= config.early_stop_patience:
+                    break
+    return best if best is not None else snapshot()
+
+
+class TestBufferedSteps:
+    """Steps done in place in one buffer set give the bits of the reference loop."""
+
+    @pytest.mark.parametrize("family", [None, "prune", "quant", "cluster"])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("rule", ["sgd", "dpsgd"])
+    def test_parameters_equal_reference_bit_for_bit(self, monkeypatch, rule, momentum, family):
+        epochs = []
+        real = nn.evaluate_accuracy
+        monkeypatch.setattr(nn, "evaluate_accuracy", lambda *a: epochs.append(1) or real(*a))
+        rng = np.random.default_rng(23)
+        X, y = rng.normal(size=(50, 5)), rng.integers(0, 3, 50)
+        valid = (rng.normal(size=(20, 5)), rng.integers(0, 3, 20))
+        model, constraint = constrained(family, tiny_model([5, 9, 7, 3], seed=4, dropout=[0.2, 0.1]))
+        # 50 rows in batches of 15 leave a last batch of 5
+        cfg = nn.TrainConfig(learning_rate=0.1, batch_size=15, max_epochs=12, l2_lambda=1e-3,
+                             early_stop_patience=2, seed=29, momentum=momentum)
+        if rule == "sgd":
+            got = nn.train(model, (X, y), valid, cfg, constraint)
+            assert len(epochs) < cfg.max_epochs  # early stopping ended the run
+            expected = reference_fit(model, (X, y), valid, cfg, constraint)
+        else:
+            dp = nn.DpConfig(clip_norm=0.5, noise_multiplier=0.8)
+            got = nn.train_dpsgd(model, (X, y), cfg, dp, constraint)
+            expected = reference_fit(model, (X, y), None, cfg, constraint, dp)
+        for g, e in zip(got.weights + got.biases, expected.weights + expected.biases):
+            assert g.tobytes() == e.tobytes()
 
 
 @pytest.mark.parametrize("fit", [

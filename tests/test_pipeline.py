@@ -1,6 +1,7 @@
 """Pipeline stage, determinism, and CLI tests."""
 
 import collections
+import concurrent.futures
 import json
 import os
 import shutil
@@ -210,7 +211,8 @@ class TestStages:
                 pools.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountedPool)
+        # the pipeline imports the pool class where it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
         seq, par = tmp_path / "seq", tmp_path / "par"
         pipeline.run_plan(plan, seq, workers=1)
         assert pools == []
@@ -649,3 +651,14 @@ class TestBlasThreads:
 
     def test_a_user_setting_wins(self):
         assert self.import_package(OPENBLAS_NUM_THREADS="2") == [False, ["2", "1", "1"]]
+
+
+def test_cli_import_loads_no_pool_machinery():
+    """The process-pool modules load only when a run starts a pool."""
+    env = dict(os.environ)
+    src = str(Path(compaudit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, compaudit.cli; print('concurrent.futures.process' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

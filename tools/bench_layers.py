@@ -1,20 +1,23 @@
 """Layer microbenchmarks: the median time of the audit's hottest layers.
 
-    PYTHONPATH=src python3 tools/bench_layers.py --side change --out BENCH.json
+    PYTHONPATH=src python3 tools/bench_layers.py --out BENCH.json \
+        [--parent <parent checkout>/src]
 
-``compaudit`` comes from ``PYTHONPATH``, so the same script times another
-checkout when ``PYTHONPATH`` names that checkout's ``src``. The figures go
-under ``sides.<side>`` of the output file; the other sides already in it
-are kept, and where a ``parent`` and a ``change`` side are both present the
-file also holds each layer's parent-over-change ratio of medians.
+The ``change`` side is the ``compaudit`` that ``PYTHONPATH`` names. With
+``--parent``, the same process also imports that directory's ``compaudit``
+under the name ``compaudit_parent`` (the package's modules import each
+other relatively) and times it as the ``parent`` side. The two sides then
+take turns sample by sample, layer by layer, so drift in the machine's
+speed falls on both alike. The figures go under ``sides.<side>`` of the
+output file, and where both sides are present the file also holds each
+layer's parent-over-change ratio of medians.
 
-Each layer runs once as a warm-up and then ``REPEATS`` (5) times. The warm-up
-matters: in a fresh process the C library maps and unmaps each temporary of
-a few hundred kilobytes, which makes the first fit much slower than the
-same fit inside an audit. A second run for a side already in the file adds
-its samples to that side's, and a layer's figure is the median of all of
-them, so runs of two checkouts can alternate on a machine whose speed
-drifts. The layers are
+Each layer runs once per side as a warm-up and then ``REPEATS`` (5) times.
+The warm-up matters: in a fresh process the C library maps and unmaps each
+temporary of a few hundred kilobytes, which makes the first fit much slower
+than the same fit inside an audit. A second run into a file that already
+holds a side adds its samples to that side's, and a layer's figure is the
+median of all of them. The layers are
 
 - an adversary-1 stacker fit (400 x 10) and an adversary-2 stacker fit
   (400 x 93), with the multi-reference attack's MLP hyperparameters;
@@ -22,7 +25,7 @@ drifts. The layers are
 - ``kmeans_1d`` on 32,768 values with k = 8;
 - a forward pass of a 64-256-128-10 model on 300 rows;
 - checkpoint save and load of a 64-256-128-10 model and of its 8-cluster
-  version;
+  version, and the save of its int8 and 70 %-pruned versions;
 - one training epoch of that model on 300 rows in batches of 32: plain
   SGD, DP-SGD (clip 1, noise multiplier 0.5), and a constrained fine-tune
   of each compression family (70 % pruned, int8 quantization-aware
@@ -38,11 +41,9 @@ drifts. The layers are
   FPR caps 0.01 and 0.001.
 
 Each sample records wall time (``samples``, ``median``) and the process's
-CPU time (``cpu_samples``, ``cpu_median``). On a shared machine the wall
-time of code that did not change can drift between runs by as much as
-the gaps being measured; CPU time leaves out the time the process waited
-for a core. ``parent_over_change`` holds the ratios of wall medians and
-``parent_over_change_cpu`` those of CPU medians.
+CPU time (``cpu_samples``, ``cpu_median``); CPU time leaves out the time
+the process waited for a core. ``parent_over_change`` holds the ratios of
+wall medians and ``parent_over_change_cpu`` those of CPU medians.
 
 The environment record is taken after ``import compaudit``, which sets the
 BLAS thread variables, so it names the thread count the layers ran with.
@@ -51,6 +52,8 @@ BLAS thread variables, so it names the thread count the layers ran with.
 import compaudit  # first: it pins the BLAS threads before numpy loads
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -62,18 +65,28 @@ from pathlib import Path
 
 import numpy as np
 
-from compaudit import attacks, checkpoint, compress, meta, metrics, nn
-
 REPEATS = 5
+MODULES = ("attacks", "checkpoint", "compress", "meta", "metrics", "nn")
 
 
-def environment() -> dict:
+def load_package(name: str, src: Path):
+    """The package in ``src/compaudit`` imported under the name ``name``."""
+    init = src / "compaudit" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def environment(package) -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {k: blas[k] for k in ("name", "version", "openblas configuration") if k in blas}
     except (TypeError, KeyError):
         blas = None  # the build paths in the full record name no property of the run
-    package = Path(compaudit.__file__).resolve().parent
+    package = Path(package.__file__).resolve().parent
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -104,14 +117,17 @@ def posterior_rows(n, classes, seed):
     return np.concatenate([-np.sort(-P, axis=1), onehot], axis=1), y
 
 
-def layers(tmp: Path) -> dict:
-    """Each layer's name and a call that runs it once."""
+def layers(tmp: Path, package) -> dict:
+    """Each layer's name and a call that runs it once on ``package``'s code."""
+    attacks, checkpoint, compress, meta, metrics, nn = (
+        importlib.import_module(f"{package.__name__}.{m}") for m in MODULES)
     X1, y1 = stacker_rows(400, 10, 1)
     X2, y2 = stacker_rows(400, 93, 2)
     X3, y3 = stacker_rows(600, 30, 3)
     weights = np.random.default_rng(4).normal(0.0, 0.05, 32768)
     model = nn.init_fcn([64, 256, 128, 10], seed=5)
     clustered = compress.cluster_weights(model, 8, seed=6)
+    int8 = compress.quantize_int8(model)
     pruned = compress.prune_l1(model, 0.7)
     rng = np.random.default_rng(11)
     xy = (rng.normal(size=(300, 64)), rng.integers(0, 10, 300))
@@ -124,7 +140,7 @@ def layers(tmp: Path) -> dict:
     calibration = np.random.default_rng(16)
     member, nonmember = calibration.normal(size=300), calibration.normal(0.3, 1.0, size=300)
     cell = metrics.AttackScoreSet(member, nonmember, decision_threshold=0.15)
-    paths = {"model": tmp / "model.json", "cluster": tmp / "cluster.json"}
+    paths = {name: tmp / f"{name}.json" for name in ("model", "cluster", "int8", "prune70")}
     checkpoint.save_model(paths["model"], model)
     checkpoint.save_model(paths["cluster"], clustered)
     return {
@@ -137,6 +153,8 @@ def layers(tmp: Path) -> dict:
         "load_model_s": lambda: checkpoint.load_model(paths["model"]),
         "save_cluster_s": lambda: checkpoint.save_model(paths["cluster"], clustered),
         "load_cluster_s": lambda: checkpoint.load_model(paths["cluster"]),
+        "save_int8_s": lambda: checkpoint.save_model(paths["int8"], int8),
+        "save_prune70_s": lambda: checkpoint.save_model(paths["prune70"], pruned),
         "sgd_epoch_s": lambda: nn.train(model, xy, None, epoch),
         "dpsgd_epoch_s": lambda: nn.train_dpsgd(model, xy, epoch, dp),
         "finetune_prune70_s": lambda: compress.finetune_compressed(pruned, xy, None, epoch),
@@ -152,38 +170,52 @@ def layers(tmp: Path) -> dict:
     }
 
 
-def measure(run) -> tuple[list, list]:
-    """Wall and CPU seconds of ``REPEATS`` runs after a warm-up."""
-    run()
-    wall, cpu = [], []
-    for _ in range(REPEATS):
-        start, start_cpu = time.perf_counter(), time.process_time()
+def measure(runs: dict) -> dict:
+    """Each side's wall and CPU seconds of ``REPEATS`` runs after a warm-up.
+
+    The sides take turns, and which goes first alternates.
+    """
+    for run in runs.values():
         run()
-        wall.append(time.perf_counter() - start)
-        cpu.append(time.process_time() - start_cpu)
-    return wall, cpu
+    samples = {side: ([], []) for side in runs}
+    for i in range(REPEATS):
+        for side in list(runs)[:: 1 if i % 2 == 0 else -1]:
+            start, start_cpu = time.perf_counter(), time.process_time()
+            runs[side]()
+            samples[side][0].append(time.perf_counter() - start)
+            samples[side][1].append(time.process_time() - start_cpu)
+    return samples
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--side", required=True, help="name of this checkout, e.g. parent")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--parent", type=Path,
+                        help="the src directory of the checkout to time as the parent side")
     args = parser.parse_args(argv)
+    packages = {"change": compaudit}
+    if args.parent is not None:
+        packages = {"parent": load_package("compaudit_parent", args.parent), **packages}
     bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     sides = bench.setdefault("sides", {})
-    side = sides.setdefault(args.side, {"runs": 0, "layers": {}})
-    side["environment"] = environment()
-    side["runs"] += 1
+    for name, package in packages.items():
+        side = sides.setdefault(name, {"runs": 0, "layers": {}})
+        side["environment"] = environment(package)
+        side["runs"] += 1
     with tempfile.TemporaryDirectory() as tmp:
-        for name, run in layers(Path(tmp)).items():
-            fig = side["layers"].setdefault(name, {"samples": []})
-            wall, cpu = measure(run)
-            fig["samples"] += wall
-            fig["cpu_samples"] = fig.get("cpu_samples", []) + cpu
-            fig["median"] = statistics.median(fig["samples"])
-            fig["cpu_median"] = statistics.median(fig["cpu_samples"])
-            print(f"{name}: {fig['median']:.4f} s wall, {fig['cpu_median']:.4f} s CPU over "
-                  f"{len(fig['samples'])}", file=sys.stderr)
+        runs = {}
+        for name, package in packages.items():
+            (Path(tmp) / name).mkdir()
+            runs[name] = layers(Path(tmp) / name, package)
+        for layer in runs["change"]:
+            for name, (wall, cpu) in measure({n: r[layer] for n, r in runs.items()}).items():
+                fig = sides[name]["layers"].setdefault(layer, {"samples": []})
+                fig["samples"] += wall
+                fig["cpu_samples"] = fig.get("cpu_samples", []) + cpu
+                fig["median"] = statistics.median(fig["samples"])
+                fig["cpu_median"] = statistics.median(fig["cpu_samples"])
+                print(f"{name} {layer}: {fig['median']:.4f} s wall, {fig['cpu_median']:.4f} s "
+                      f"CPU over {len(fig['samples'])}", file=sys.stderr)
     if "parent" in sides and "change" in sides:
         parent, change = sides["parent"]["layers"], sides["change"]["layers"]
         for key, figure in (("parent_over_change", "median"),
