@@ -19,11 +19,14 @@ the class reads its own fields and names its ``family``; a stored family
 that is not the class's is rejected.
 
 Classifier layout: {"format": ..., "version": 1, "kind": "lr"|"rf"|"mlp",
-parameter fields}. A forest stores "n_features", "bootstrap" and "trees",
-one object per tree holding the five flat node arrays of ``meta.Tree``::
+parameter fields}. A forest stores "n_features" and "trees", one object
+per tree holding the five flat node arrays of ``meta.Tree``::
 
     {"feature": [...], "threshold": [...], "left": [...], "right": [...],
      "value": [...]}
+
+A forest's bags are not stored, so a loaded forest scores rows but gives
+no out-of-bag scores.
 
 Every file is written atomically by ``write_json``. A compressed model's
 arrays hold few distinct values: at most 255 weights on the int8 grid, one
@@ -239,11 +242,7 @@ def save_classifier(path, clf):
         base |= {"W1": clf.W1, "b1": clf.b1, "w2": clf.w2, "b2": clf.b2,
                  "mean": clf.mean, "std": clf.std}
     elif isinstance(clf, RandomForestMeta):
-        base |= {
-            "n_features": clf.n_features,
-            "bootstrap": clf.bootstrap,
-            "trees": [t._asdict() for t in clf.trees],
-        }
+        base |= {"n_features": clf.n_features, "trees": [t._asdict() for t in clf.trees]}
     else:
         raise CheckpointError(f"cannot serialize classifier of type {type(clf).__name__}")
     write_json(base, path)
@@ -269,7 +268,7 @@ def load_classifier(path):
         if kind == "rf":
             n_features = int(d["n_features"])
             trees = [_tree(t, n_features) for t in d["trees"]]
-            return RandomForestMeta(trees, n_features, d["seed"], bool(d.get("bootstrap", True)))
+            return RandomForestMeta(trees, n_features, d["seed"])
     except (KeyError, TypeError, ValueError, InputError) as exc:
         raise CheckpointError(f"{path}: malformed {kind} classifier ({exc!r})") from None
     raise CheckpointError(f"{path}: unknown classifier kind {kind!r}")

@@ -13,8 +13,9 @@ feature matrix X (one row per sample) and membership labels y in {0, 1}:
   one vectorized pass, and a waiting tree joins once the step has room,
   as others go deeper or finish. Each tree draws its bootstrap and feature
   subsets from its own generator in preorder, so no tree depends on which
-  others grow beside it. Scoring walks every (tree, row) pair at once
-  over the trees' node arrays laid end to end;
+  others grow beside it, and keeps its bag for out-of-bag scores. Scoring
+  walks every (tree, row) pair at once over the trees' node arrays laid
+  end to end;
 - "mlp": one-hidden-layer perceptron (ReLU, sigmoid output) trained with
   full-batch gradient descent on binary cross-entropy.
 
@@ -56,8 +57,6 @@ class LrHyper:
 class RfHyper:
     n_trees: int = 100
     max_depth: int = 12
-    min_leaf: int = 1
-    bootstrap: bool = True
 
 
 @dataclass
@@ -149,18 +148,19 @@ class RandomForestMeta:
     arrays laid end to end, with each tree's child indices shifted by the
     tree's offset. ``_child[2 * i + go_left]`` is node i's child, and a
     leaf is its own child on both sides, so ``_levels`` steps, the depth of
-    the deepest leaf, bring every (tree, row) pair to its leaf.
+    the deepest leaf, bring every (tree, row) pair to its leaf. The fit sets
+    ``in_bag[t, i]``, whether tree t's bootstrap drew training row i.
     """
 
     kind = "rf"
 
-    def __init__(self, trees: list[Tree], n_features: int, seed: int = 0, bootstrap: bool = True):
+    def __init__(self, trees: list[Tree], n_features: int, seed: int = 0):
         if not trees:
             raise InputError("a forest needs at least one tree")
         self.trees = trees
         self.n_features = n_features
         self.seed = seed
-        self.bootstrap = bootstrap
+        self.in_bag = None
         feature, self._threshold, left, right, self._value = map(np.concatenate, zip(*trees))
         sizes = [t.value.size for t in trees]
         start = np.cumsum(sizes) - sizes
@@ -209,10 +209,6 @@ class RandomForestMeta:
         return acc / len(self.trees)
 
 
-def _tree_seeds(seed: int, n_trees: int):
-    return np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF).spawn(n_trees)
-
-
 # The (tree, row) pairs that one forest walk may move: a forest is walked
 # a few dozen trees at a time, so that a walk's buffers stay in cache.
 _WALK_PAIRS = 8192
@@ -254,12 +250,16 @@ def _column_ranks(X):
 def _fit_rf(X, y, hyper: RfHyper, seed: int) -> RandomForestMeta:
     n_sub = max(1, int(np.floor(np.sqrt(X.shape[1]))))
     ranks, values = _column_ranks(X)
-    trees = _grow_lockstep(X, y, ranks, values, _tree_seeds(seed, hyper.n_trees), hyper, n_sub)
-    return RandomForestMeta(trees, X.shape[1], seed, bootstrap=hyper.bootstrap)
+    seeds = np.random.SeedSequence(seed).spawn(hyper.n_trees)
+    trees, in_bag = _grow_lockstep(X, y, ranks, values, seeds, hyper, n_sub)
+    forest = RandomForestMeta(trees, X.shape[1], seed)
+    forest.in_bag = in_bag
+    return forest
 
 
-def _grow_lockstep(X, y, ranks, values, seeds, hyper: RfHyper, n_sub) -> list[Tree]:
-    """Grow one tree per seed, all in lockstep, each depth-first, left child first.
+def _grow_lockstep(X, y, ranks, values, seeds, hyper: RfHyper, n_sub):
+    """One tree per seed, grown in lockstep, each depth-first, left child first,
+    and the (tree, row) matrix of which rows each tree's bootstrap drew.
 
     Each tree draws its bootstrap and then its feature subsets from its own
     generator and pops nodes from its own stack in preorder, so it is the
@@ -280,6 +280,7 @@ def _grow_lockstep(X, y, ranks, values, seeds, hyper: RfHyper, n_sub) -> list[Tr
     n, d = X.shape
     rows, w, wy, buf = (np.empty(0, dtype=np.int32) for _ in range(4))
     trees, growing, free = [None] * len(seeds), {}, []
+    in_bag = np.zeros((len(seeds), n), dtype=bool)
     joined, drawn = 0, None
     deck = np.tile(np.arange(d), (_SUBSET_DRAWS, 1))
 
@@ -298,7 +299,7 @@ def _grow_lockstep(X, y, ranks, values, seeds, hyper: RfHyper, n_sub) -> list[Tr
             left.append(-1)
             right.append(-1)
             value.append(p / n_node)
-            if depth < hyper.max_depth and n_node >= 2 * hyper.min_leaf and 0 < p < n_node:
+            if depth < hyper.max_depth and 0 < p < n_node:  # so n_node >= 2
                 if not subsets:
                     # ``permuted`` shuffles each row with the draws that successive
                     # ``rng.permutation(d)`` calls make, so the rows are the tree's
@@ -320,10 +321,8 @@ def _grow_lockstep(X, y, ranks, values, seeds, hyper: RfHyper, n_sub) -> list[Tr
         while joined < len(seeds):
             if drawn is None:
                 rng = np.random.default_rng(seeds[joined])
-                if hyper.bootstrap:
-                    counts = np.bincount(rng.integers(0, n, n), minlength=n)
-                else:
-                    counts = np.ones(n, dtype=np.int64)
+                counts = np.bincount(rng.integers(0, n, n), minlength=n)
+                in_bag[joined] = counts > 0
                 r = np.flatnonzero(counts)
                 drawn = (rng, r, counts[r])
             rng, r, m = drawn
@@ -343,14 +342,14 @@ def _grow_lockstep(X, y, ranks, values, seeds, hyper: RfHyper, n_sub) -> list[Tr
             joined, drawn = joined + 1, None
         if popped:
             for k, f, thr, mid, n_left, p_left in zip(*_split_step(
-                X, ranks, values, buf, rows, w, wy, popped, hyper.min_leaf
+                X, ranks, values, buf, rows, w, wy, popped
             )):
                 t, node, lo, hi, n_node, p, depth, _ = popped[k]
                 _, stack, built, _, _ = growing[t]
                 built[0][node], built[1][node] = f, thr
                 stack.append((mid, hi, n_node - n_left, p - p_left, depth + 1, node, False))
                 stack.append((lo, mid, n_left, p_left, depth + 1, node, True))
-    return trees
+    return trees, in_bag
 
 
 def _gini(members, rows):
@@ -364,7 +363,7 @@ def _gini(members, rows):
     return impurity
 
 
-def _split_step(X, ranks, values, buf, rows, w, wy, popped, min_leaf):
+def _split_step(X, ranks, values, buf, rows, w, wy, popped):
     """Best Gini split of every popped node at once; partitions ``buf``.
 
     Each (node, candidate column) pair is a segment of one integer-key
@@ -419,9 +418,6 @@ def _split_step(X, ranks, values, buf, rows, w, wy, popped, min_leaf):
     node = seg // n_sub
     del seg
     n = n_node[node]
-    if min_leaf > 1:
-        keep = np.flatnonzero((left_n >= min_leaf) & (n - left_n >= min_leaf))
-        pos, node, left_n, lp, n = (a[keep] for a in (pos, node, left_n, lp, n))
     # score = (left_n * gini_l + rn * gini_r) / n with gini = 1 - a^2 - b^2,
     # evaluated in place operation by operation, so every bit is the same
     score = _gini(lp, left_n)
@@ -457,23 +453,21 @@ def _split_step(X, ranks, values, buf, rows, w, wy, popped, min_leaf):
 def out_of_bag_proba(clf: RandomForestMeta, X: np.ndarray) -> np.ndarray:
     """Each training row's mean leaf probability over the trees that left it out.
 
-    ``X`` is the training matrix in fitting order; the bootstrap draws are
-    replayed from the forest's seed. A row sits out of about e^-1 of the
-    trees, so its estimate averages that share of the forest. The walk
-    moves only the left-out (tree, row) pairs, and each row's sum adds its
-    trees' values in tree order.
+    ``X`` is the training matrix in fitting order, and the forest's
+    ``in_bag`` says which trees left each row out. A row sits out of about
+    e^-1 of the trees, so its estimate averages that share of the forest.
+    The walk moves only the left-out (tree, row) pairs, and each row's sum
+    adds its trees' values in tree order.
     """
-    if not clf.bootstrap:
-        raise InputError("out-of-bag scores need a bagged forest")
+    if clf.in_bag is None:
+        raise InputError("out-of-bag scores need a fitted forest's bags; a loaded one has none")
     X = _check_features(X, clf.n_features)
     n = X.shape[0]
+    if n != clf.in_bag.shape[1]:
+        raise InputError(f"out-of-bag scores need the {clf.in_bag.shape[1]} training rows, got {n}")
     total, count = np.zeros(n), np.zeros(n, dtype=np.int64)
-    seeds = _tree_seeds(clf.seed, len(clf.trees))
     for trees in _walk_chunks(len(clf.trees), n):
-        left_out = np.ones((trees.size, n), dtype=bool)
-        for out, t in zip(left_out, trees):
-            out[np.random.default_rng(seeds[t]).integers(0, n, n)] = False
-        tree_of, rows = np.nonzero(left_out)
+        tree_of, rows = np.nonzero(~clf.in_bag[trees])
         np.add.at(total, rows, clf._leaf_values(X, trees[tree_of], rows))
         count += np.bincount(rows, minlength=n)
     if np.any(count == 0):

@@ -235,17 +235,11 @@ def _forward_pass(weights, biases, dropout_rates, X, rng, buf: _Buffers):
     return hs, masks, logits
 
 
-def forward(
-    model: FcnModel, inputs: np.ndarray, train_mode: bool = False, seed: int = 0
-) -> np.ndarray:
-    """Posterior batch for ``inputs``; each row is a softmax distribution.
-
-    Dropout is applied (seeded) only when ``train_mode`` is True.
-    """
+def forward(model: FcnModel, inputs: np.ndarray) -> np.ndarray:
+    """Posterior batch for ``inputs`` with dropout off; each row is a softmax distribution."""
     X = _validate_inputs(model, inputs)
-    rng = np.random.default_rng(_norm_seed(seed)) if train_mode else None
     buf = _Buffers(model.layer_sizes, X.shape[0], grads=False)
-    _, _, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, rng, buf)
+    _, _, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, None, buf)
     return softmax(logits, out=logits)
 
 
@@ -338,14 +332,8 @@ def loss_and_gradients(
     return loss, dWs, dbs
 
 
-def per_sample_gradients(
-    model: FcnModel,
-    X: np.ndarray,
-    labels: np.ndarray,
-    train_mode: bool = False,
-    seed: int = 0,
-):
-    """Per-sample cross-entropy gradients (no regularization).
+def per_sample_gradients(model: FcnModel, X: np.ndarray, labels: np.ndarray):
+    """Per-sample cross-entropy gradients with dropout off (no regularization).
 
     Returns (pWs, pbs, norms): pWs[l] has shape (B, out, in), pbs[l]
     shape (B, out), norms the per-sample global L2 gradient norm.
@@ -355,9 +343,8 @@ def per_sample_gradients(
     X = _validate_inputs(model, X)
     labels = np.asarray(labels, dtype=np.int64)
     Y = one_hot(labels, model.output_dim)
-    rng = np.random.default_rng(_norm_seed(seed)) if train_mode else None
     buf = _Buffers(model.layer_sizes, X.shape[0], grads=False)
-    hs, masks, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, rng, buf)
+    hs, masks, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, None, buf)
     pbs = _layer_deltas(model.weights, hs, masks, softmax(logits) - Y, buf)
     pWs = [np.einsum("bo,bi->boi", d, h) for d, h in zip(pbs, hs)]
     sq = sum(np.sum(pW**2, axis=(1, 2)) + np.sum(pb**2, axis=1) for pW, pb in zip(pWs, pbs))

@@ -288,6 +288,11 @@ def _attack_cells(plan: ExperimentPlan) -> list[tuple[str, str]]:
     return sorted(set(cells))
 
 
+def _cell_files(plan: ExperimentPlan, directory: Path) -> list[Path]:
+    """The files in ``directory`` of the plan's cells; another plan's cells are never read."""
+    return [p for a, t in _attack_cells(plan) if (p := directory / f"{a}__{t}.json").exists()]
+
+
 def _run_attack_cell(plan, dataset, split, pair, rep, attack_key, target_key):
     """Scores of one cell; ``pair(key)`` gives the (victim, shadow) models of a target."""
     seed = derive_seed(plan.seed_base, rep, "attack", attack_key, target_key)
@@ -424,7 +429,7 @@ def _evaluate(r: _Rep):
     if not score_dir.exists():
         return
     (out / "checkpoints" / "metrics" / f"rep{rep}").mkdir(parents=True, exist_ok=True)
-    for score_path in sorted(score_dir.glob("*.json")):
+    for score_path in _cell_files(r.plan, score_dir):
         metric_path = out / "checkpoints" / "metrics" / f"rep{rep}" / score_path.name
         if _intact(metric_path):
             continue
@@ -469,7 +474,7 @@ def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
             if not path.exists():
                 raise DependencyError(f"report needs the evaluate stage output {path}")
         models[f"rep{rep}"] = checkpoint.read_json(table)
-        cells += [checkpoint.read_json(p) for p in sorted(metric_dir.glob("*.json"))]
+        cells += [checkpoint.read_json(p) for p in _cell_files(plan, metric_dir)]
     aggregates = {}
     by_cell = {}
     for c in cells:
@@ -489,7 +494,9 @@ def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
     failures = []
     fail_path = out / "failures.json"
     if fail_path.exists():
-        failures = checkpoint.read_json(fail_path)
+        names = {f"{a}__{t}" for a, t in _attack_cells(plan)}
+        failures = [f for f in checkpoint.read_json(fail_path)
+                    if f["rep"] < plan.repetitions and f["cell"] in names]
     report = {
         "schema_version": SCHEMA_VERSION,
         "plan_hash": plan.plan_hash(),
@@ -560,12 +567,10 @@ def _write_text_report(report: dict, path: Path):
 
 
 def _export_rocs(plan: ExperimentPlan, out: Path, roc_dir: Path):
-    roc_dir.mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(roc_dir, ignore_errors=True)  # no curve of a cell the plan left out stays
+    roc_dir.mkdir(parents=True)
     for rep in range(plan.repetitions):
-        score_dir = out / "checkpoints" / "scores" / f"rep{rep}"
-        if not score_dir.exists():
-            continue
-        for score_path in sorted(score_dir.glob("*.json")):
+        for score_path in _cell_files(plan, out / "checkpoints" / "scores" / f"rep{rep}"):
             payload = checkpoint.read_json(score_path)
             scores = metrics.AttackScoreSet(
                 payload["member_scores"], payload["nonmember_scores"]

@@ -35,6 +35,7 @@ the plan leaves out keeps its field's default. ``plan.split`` is a
 ``data.SplitSizes``, ``plan.train`` a ``TrainSpec`` (``plan.train.hidden``),
 ``plan.dp`` an ``nn.DpConfig`` or None (``plan.dp.noise_multiplier``),
 and ``[metrics]`` and ``[run]`` fill ``ExperimentPlan``'s own fields.
+A section or key not listed above is an error that names it.
 
 With ``int8_mode = qat`` the int8 model is fine-tuned from its float
 weights like every other compressed model; ``calibrate`` leaves it snapped
@@ -261,12 +262,22 @@ def _values(cp, flds, section: str | None = None) -> dict:
     return values
 
 
-def _section(cp, name: str, cls):
-    """Section ``name`` as a ``cls`` dataclass; its own checks become plan errors."""
-    try:
-        return cls(**_values(cp, fields(cls), name))
-    except InputError as exc:
-        raise PlanError(f"{name} {exc}") from None
+# the dataclass that each section other than [metrics] and [run] parses into
+_SECTIONS = {"dataset": DatasetSpec, "split": data.SplitSizes, "train": TrainSpec,
+             "dp": nn.DpConfig, "compression": CompressionSpec, "attacks": AttackSpec}
+
+
+def _check_names(cp):
+    """Raise ``PlanError`` naming the first section or key that no field reads."""
+    known = {name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()}
+    for f in fields(ExperimentPlan):  # [metrics] and [run]; the rest have no section
+        known.setdefault(f.metadata.get("section"), set()).add(f.name)
+    for name in cp.sections():
+        if name not in known:
+            raise PlanError(f"unknown plan section [{name}]")
+        for key in cp[name]:
+            if key not in known[name]:
+                raise PlanError(f"unknown key {key!r} in plan section [{name}]")
 
 
 def parse_plan_text(text: str) -> ExperimentPlan:
@@ -275,13 +286,16 @@ def parse_plan_text(text: str) -> ExperimentPlan:
         cp.read_string(text)
     except configparser.Error as exc:
         raise PlanError(f"plan does not parse: {exc}") from None
+    _check_names(cp)
+    specs = {}
+    for name, cls in _SECTIONS.items():
+        if name != "dp" or cp.has_section("dp"):  # a plan without [dp] has no defense
+            try:  # the dataclass's own checks become plan errors
+                specs[name] = cls(**_values(cp, fields(cls), name))
+            except InputError as exc:
+                raise PlanError(f"{name} {exc}") from None
     plan = ExperimentPlan(
-        dataset=_section(cp, "dataset", DatasetSpec),
-        split=_section(cp, "split", data.SplitSizes),
-        train=_section(cp, "train", TrainSpec),
-        dp=_section(cp, "dp", nn.DpConfig) if cp.has_section("dp") else None,
-        compression=_section(cp, "compression", CompressionSpec),
-        attacks=_section(cp, "attacks", AttackSpec),
+        **{"dp": None} | specs,
         raw_text=text,
         **_values(cp, [f for f in fields(ExperimentPlan) if f.metadata]),
     )

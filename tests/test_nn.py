@@ -38,17 +38,18 @@ class TestForward:
     def test_identical_inputs_identical_rows(self):
         m = tiny_model([4, 6, 3], seed=3)
         x = np.ones((5, 4))
-        P = nn.forward(m, x, train_mode=False)
+        P = nn.forward(m, x)
         assert np.all(P == P[0])
 
     def test_dropout_is_seeded(self):
         m = tiny_model([4, 8, 3], seed=1, dropout=[0.5])
         x = np.random.default_rng(2).normal(size=(10, 4))
-        a = nn.forward(m, x, train_mode=True, seed=11)
-        b = nn.forward(m, x, train_mode=True, seed=11)
-        c = nn.forward(m, x, train_mode=True, seed=12)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        y = np.arange(10) % 3
+        a = nn.loss_and_gradients(m, x, y, train_mode=True, seed=11)
+        b = nn.loss_and_gradients(m, x, y, train_mode=True, seed=11)
+        c = nn.loss_and_gradients(m, x, y, train_mode=True, seed=12)
+        assert a[0] == b[0] and all(np.array_equal(u, v) for u, v in zip(a[1], b[1]))
+        assert a[0] != c[0]
 
     def test_shape_and_input_errors(self):
         m = tiny_model([4, 3, 2])

@@ -271,6 +271,30 @@ class TestRepetitionTask:
         assert {f: (out / f).read_bytes() for f in output_files(out)
                 if f.parts[0] == "report"} == before
 
+    def test_report_holds_only_the_plan_cells(self, tmp_path, monkeypatch):
+        # a wider plan's run leaves score and metric files and a failure of cells
+        # that a narrower plan, rerun into the same directory, does not request
+        from compaudit import attacks
+        from compaudit.errors import ConfigError
+
+        def broken(*args, **kwargs):
+            raise ConfigError("sabotaged cell")
+
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        with monkeypatch.context() as patch:
+            patch.setattr(attacks, "run_nr_training", broken)
+            wide = pipeline.run_plan(
+                parse_plan_text(MINIMAL.replace("nr = loss", "nr = loss,mentr,posterior_lr")), out)
+        assert [f["cell"] for f in wide["failures"]] == ["nr_posterior_lr__prune70"]
+        assert len(wide["cells"]) == 2
+        plan = parse_plan_text(MINIMAL)
+        report = pipeline.run_plan(plan, out)
+        assert list(report["aggregates"]) == ["nr_loss__prune70"] and report["failures"] == []
+        pipeline.run_plan(plan, fresh)
+        reports = [{f: (d / f).read_bytes() for f in output_files(d) if f.parts[0] == "report"}
+                   for d in (out, fresh)]
+        assert reports[0] == reports[1]
+
     def test_report_needs_the_accuracy_table(self, tmp_path):
         plan = parse_plan_text(MINIMAL)
         out = tmp_path / "out"

@@ -253,6 +253,23 @@ class TestSectionReader:
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (("prune = 0.6,0.8", "prunes = 0.9"), "unknown key 'prunes' in plan section [compression]"),
+        (("[attacks]", "[atacks]"), "unknown plan section [atacks]"),
+        (("repetitions = 1", "repetitions = 1\nfpr_caps = 0.1"),
+         "unknown key 'fpr_caps' in plan section [run]"),
+    ], ids=["key", "section", "key_of_another_section"])
+    def test_unknown_section_or_key_is_named(self, tmp_path, capsys, edit, message):
+        assert edit[0] in GOOD
+        text = GOOD.replace(*edit)
+        with pytest.raises(PlanError, match=re.escape(message)):
+            parse_plan_text(text)
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(text, encoding="utf-8")
+        assert cli.main(["--plan", str(plan_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {message}"]
+
     def test_dp_delta_rejected_at_parse_time(self):
         with pytest.raises(PlanError, match="delta"):
             parse_plan_text(GOOD + "\n[dp]\nclip_norm = 1.0\nnoise_multiplier = 0.5\ndelta = 2\n")
