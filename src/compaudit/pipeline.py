@@ -6,9 +6,9 @@ in isolation:
 
     train     -> checkpoints/models/rep<r>/original_{victim,shadow}.json
     compress  -> checkpoints/models/rep<r>/<target>_{victim,shadow}.json
-    attack    -> checkpoints/scores/rep<r>/<attack>__<target>.json
-    evaluate  -> checkpoints/metrics/rep<r>/<attack>__<target>.json,
-                 checkpoints/metrics/models_rep<r>.json (model accuracies)
+    attack    -> checkpoints/scores/rep<r>/<attack>__<target>.json,
+                 checkpoints/scores/failures_rep<r>.json (the step's failed cells)
+    evaluate  -> checkpoints/metrics/models_rep<r>.json (model accuracies)
     report    -> report/report.json, report/summary.csv, report/report.txt,
                  report/roc/rep<r>__<cell>.csv
 
@@ -16,13 +16,14 @@ A full run (``run_plan``) makes each repetition one task that trains,
 compresses, attacks and evaluates back to back on a ``_Rep``: the
 repetition's dataset, split and models, so no model it made is read back
 and one it did not make is loaded once. The tasks share at most one
-process pool and return their failed cells. A single stage (``run_stage``)
-runs the same step on a new ``_Rep``. The report reads only files: it
-loads no model and builds no dataset.
+process pool. A single stage (``run_stage``) runs the same step on a new
+``_Rep``. The report reads only files: it loads no model and builds no
+dataset, and it scores every cell from its score file, so no metric is
+stored anywhere else to go stale.
 
 Every number is a pure function of the plan text and the seed base: cell
 seeds are derived by hashing (seed_base, repetition, role), stages skip
-work whose output file already exists (a score or metric file that does
+work whose output file already exists (a score or accuracy file that does
 not parse is computed again), and all serialization is byte-stable, so
 rerunning an identical plan reproduces identical reports.
 One attack cell failing is recorded in the report and never aborts the
@@ -48,7 +49,7 @@ ROLES = ("victim", "shadow")
 STAGE_OUTPUTS = {
     "train": ["checkpoints/models"],
     "compress": [f"checkpoints/models/rep*/{key}*.json" for key in ("prune", "int8", "cluster")],
-    "attack": ["checkpoints/scores", "failures.json"],
+    "attack": ["checkpoints/scores"],
     "evaluate": ["checkpoints/metrics"],
     "report": ["report"],
 }
@@ -183,11 +184,12 @@ class _Rep:
         return _model_dir(self.out, self.rep) / f"{name}.json"
 
     def model(self, name: str):
-        """The model ``name``, loaded on first use; only an attack asks for a missing one."""
+        """The model ``name``, loaded on first use."""
         if name not in self.models:
             path = self.path(name)
             if not path.exists():
-                raise DependencyError(f"attack needs the compress/train stage output {path}")
+                stage = "train" if name.startswith("original_") else "compress"
+                raise DependencyError(f"missing the {stage} stage output {path}")
             self.models[name] = checkpoint.load_model(path)
         return self.models[name]
 
@@ -337,16 +339,18 @@ def _run_attack_cell(plan, dataset, split, pair, rep, attack_key, target_key):
     return scores, extra
 
 
-def _attack(r: _Rep) -> list[dict]:
-    """Score the cells without an intact score file; returns the failed cells."""
+def _failures_path(out: Path, rep: int) -> Path:
+    return out / "checkpoints" / "scores" / f"failures_rep{rep}.json"
+
+
+def _attack(r: _Rep):
+    """Score the cells without an intact score file, and list the cells that fail."""
     failures = []
 
     def pair(key):  # attacks only run forward passes, so every cell reads the one stored copy
         return tuple(r.model(f"{key}_{role}") for role in ROLES)
 
     score_dir = r.out / "checkpoints" / "scores" / f"rep{r.rep}"
-    # the directory marks stage completion even when every cell fails
-    score_dir.mkdir(parents=True, exist_ok=True)
     for attack_key, target_key in _attack_cells(r.plan):
         cell = f"{attack_key}__{target_key}"
         path = score_dir / f"{cell}.json"
@@ -372,24 +376,12 @@ def _attack(r: _Rep) -> list[dict]:
             },
             path,
         )
-    return failures
+    # written even when empty: the file marks the step complete
+    checkpoint.write_json(failures, _failures_path(r.out, r.rep))
 
 
-def _record_failures(out: Path, failures: list[dict]):
-    """Merge failed cells into ``failures.json``, one entry per (rep, cell)."""
-    if failures:
-        existing = []
-        fail_path = out / "failures.json"
-        if fail_path.exists():
-            existing = checkpoint.read_json(fail_path)
-        merged = {(f["rep"], f["cell"]): f for f in existing + failures}
-        checkpoint.write_json([merged[k] for k in sorted(merged)], fail_path)
-
-
-def stage_attack(plan: ExperimentPlan, out: Path, workers: int = 1) -> list[dict]:
-    failures = [f for (sub,) in _run_per_rep((_attack,), plan, out, workers) for f in sub]
-    _record_failures(Path(out), failures)
-    return failures
+def stage_attack(plan: ExperimentPlan, out: Path, workers: int = 1):
+    _run_per_rep((_attack,), plan, out, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +389,15 @@ def stage_attack(plan: ExperimentPlan, out: Path, workers: int = 1) -> list[dict
 
 
 def _accuracy_path(out: Path, rep: int) -> Path:
-    # beside rep<r>/, whose every file the report reads as a cell
     return out / "checkpoints" / "metrics" / f"models_rep{rep}.json"
 
 
 def _model_accuracies(r: _Rep) -> dict:
-    """Train and test accuracy of every model of the repetition that exists."""
+    """Train and test accuracy of every model of the repetition."""
     table = {}
     for role in ROLES:
         for key in ["original"] + r.plan.compression_keys():
             name = f"{key}_{role}"
-            if not r.path(name).exists():
-                continue
             model = r.model(name)
             if isinstance(model, compress.CompressedModel):
                 model = model.model
@@ -419,40 +408,9 @@ def _model_accuracies(r: _Rep) -> dict:
 
 
 def _evaluate(r: _Rep):
-    out, rep = r.out, r.rep
-    score_dir = out / "checkpoints" / "scores" / f"rep{rep}"
-    if not score_dir.exists() and _attack_cells(r.plan):
-        raise DependencyError(f"evaluate needs the attack stage output {score_dir}")
-    table_path = _accuracy_path(out, rep)
-    if not _intact(table_path):
-        checkpoint.write_json(_model_accuracies(r), table_path)
-    if not score_dir.exists():
-        return
-    (out / "checkpoints" / "metrics" / f"rep{rep}").mkdir(parents=True, exist_ok=True)
-    for score_path in _cell_files(r.plan, score_dir):
-        metric_path = out / "checkpoints" / "metrics" / f"rep{rep}" / score_path.name
-        if _intact(metric_path):
-            continue
-        payload = checkpoint.read_json(score_path)
-        scores = metrics.AttackScoreSet(
-            payload["member_scores"],
-            payload["nonmember_scores"],
-            decision_threshold=payload["decision_threshold"],
-        )
-        record = {
-            "attack": payload["attack"],
-            "target": payload["target"],
-            "rep": rep,
-            "balanced_accuracy": metrics.balanced_accuracy(scores),
-            "auc": metrics.roc_auc(scores),
-            "tpr_at_fpr": {},
-            "small_sample": {},
-            "scores_file": str(score_path.relative_to(out)),
-        }
-        for cap in r.plan.fpr_caps:
-            record["tpr_at_fpr"][repr(cap)] = metrics.tpr_at_fpr(scores, cap)
-            record["small_sample"][repr(cap)] = metrics.small_sample_flag(scores, cap)
-        checkpoint.write_json(record, metric_path)
+    path = _accuracy_path(r.out, r.rep)
+    if not _intact(path):
+        checkpoint.write_json(_model_accuracies(r), path)
 
 
 def stage_evaluate(plan: ExperimentPlan, out: Path, workers: int = 1):
@@ -463,18 +421,47 @@ def stage_evaluate(plan: ExperimentPlan, out: Path, workers: int = 1):
 # stage: report
 
 
+def _scored_cell(out: Path, plan: ExperimentPlan, rep: int, score_path: Path) -> dict:
+    """One cell's metrics from its score file; its ROC curve goes to ``report/roc``."""
+    payload = checkpoint.read_json(score_path)
+    scores = metrics.AttackScoreSet(
+        payload["member_scores"],
+        payload["nonmember_scores"],
+        decision_threshold=payload["decision_threshold"],
+    )
+    record = {
+        "attack": payload["attack"],
+        "target": payload["target"],
+        "rep": rep,
+        "balanced_accuracy": metrics.balanced_accuracy(scores),
+        "auc": metrics.roc_auc(scores),
+        "tpr_at_fpr": {repr(c): metrics.tpr_at_fpr(scores, c) for c in plan.fpr_caps},
+        "small_sample": {repr(c): metrics.small_sample_flag(scores, c) for c in plan.fpr_caps},
+        "scores_file": str(score_path.relative_to(out)),
+    }
+    metrics.export_roc_csv(
+        metrics.roc_curve(scores), out / "report" / "roc" / f"rep{rep}__{score_path.stem}.csv")
+    return record
+
+
 def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
-    """Write the report from the evaluate stage's metric and accuracy files."""
+    """Write the report from the accuracy, failure and score files of the plan's cells."""
     out = Path(out)
-    cells, models = [], {}
+    names = {f"{a}__{t}" for a, t in _attack_cells(plan)}
+    models, failures = {}, []
     for rep in range(plan.repetitions):
-        metric_dir = out / "checkpoints" / "metrics" / f"rep{rep}"
-        table = _accuracy_path(out, rep)
-        for path in [table, metric_dir] if _attack_cells(plan) else [table]:
+        table, failed = _accuracy_path(out, rep), _failures_path(out, rep)
+        for path, stage in [(table, "evaluate"), (failed, "attack")][: 1 + bool(names)]:
             if not path.exists():
-                raise DependencyError(f"report needs the evaluate stage output {path}")
+                raise DependencyError(f"report needs the {stage} stage output {path}")
         models[f"rep{rep}"] = checkpoint.read_json(table)
-        cells += [checkpoint.read_json(p) for p in _cell_files(plan, metric_dir)]
+        if names:
+            failures += [f for f in checkpoint.read_json(failed) if f["cell"] in names]
+    roc_dir = out / "report" / "roc"
+    shutil.rmtree(roc_dir, ignore_errors=True)  # no curve of a cell the plan left out stays
+    roc_dir.mkdir(parents=True)
+    cells = [_scored_cell(out, plan, rep, path) for rep in range(plan.repetitions)
+             for path in _cell_files(plan, out / "checkpoints" / "scores" / f"rep{rep}")]
     aggregates = {}
     by_cell = {}
     for c in cells:
@@ -491,12 +478,6 @@ def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
                 np.median([g["tpr_at_fpr"][repr(cap)] for g in group])
             )
         aggregates[f"{attack_key}__{target_key}"] = entry
-    failures = []
-    fail_path = out / "failures.json"
-    if fail_path.exists():
-        names = {f"{a}__{t}" for a, t in _attack_cells(plan)}
-        failures = [f for f in checkpoint.read_json(fail_path)
-                    if f["rep"] < plan.repetitions and f["cell"] in names]
     report = {
         "schema_version": SCHEMA_VERSION,
         "plan_hash": plan.plan_hash(),
@@ -512,7 +493,6 @@ def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
     checkpoint.write_json(report, report_dir / "report.json")
     _write_summary_csv(report, report_dir / "summary.csv")
     _write_text_report(report, report_dir / "report.txt")
-    _export_rocs(plan, out, report_dir / "roc")
     return report
 
 
@@ -566,44 +546,34 @@ def _write_text_report(report: dict, path: Path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _export_rocs(plan: ExperimentPlan, out: Path, roc_dir: Path):
-    shutil.rmtree(roc_dir, ignore_errors=True)  # no curve of a cell the plan left out stays
-    roc_dir.mkdir(parents=True)
-    for rep in range(plan.repetitions):
-        for score_path in _cell_files(plan, out / "checkpoints" / "scores" / f"rep{rep}"):
-            payload = checkpoint.read_json(score_path)
-            scores = metrics.AttackScoreSet(
-                payload["member_scores"], payload["nonmember_scores"]
-            )
-            metrics.export_roc_csv(
-                metrics.roc_curve(scores), roc_dir / f"rep{rep}__{score_path.stem}.csv"
-            )
-
-
 # ---------------------------------------------------------------------------
 # drivers
 
 
-def _rep_task(steps, plan: ExperimentPlan, out_str: str, rep: int) -> list:
-    """Run ``steps`` in order on one repetition; returns their results."""
+def _rep_task(steps, plan: ExperimentPlan, out_str: str, rep: int):
+    """Run ``steps`` in order on one repetition."""
     r = _Rep(plan, out_str, rep)
-    return [step(r) for step in steps]
+    for step in steps:
+        step(r)
 
 
-def _run_per_rep(steps, plan: ExperimentPlan, out: Path, workers: int) -> list[list]:
+def _run_per_rep(steps, plan: ExperimentPlan, out: Path, workers: int):
     """``_rep_task(steps)`` for every repetition, on one pool when there are workers to use."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     reps = list(range(plan.repetitions))
     task = functools.partial(_rep_task, steps)
     if workers <= 1 or len(reps) <= 1:
-        return [task(plan, str(out), rep) for rep in reps]
+        for rep in reps:
+            task(plan, str(out), rep)
+        return
     # imported here: the process-pool machinery costs memory and start-up time
     # that a run without a pool has no use for
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, [plan] * len(reps), [str(out)] * len(reps), reps))
+        # drained, so an exception in a worker raises here
+        list(pool.map(task, [plan] * len(reps), [str(out)] * len(reps), reps))
 
 
 def run_stage(plan: ExperimentPlan, out, stage: str, workers: int | None = None):
@@ -618,9 +588,7 @@ def run_plan(plan: ExperimentPlan, out, workers: int | None = None) -> dict:
     """Run every stage, one task per repetition, and return the report dictionary."""
     out = Path(out)
     workers = plan.workers if workers is None else workers
-    steps = (_train, _compress, _attack, _evaluate)
-    results = _run_per_rep(steps, plan, out, workers)
-    _record_failures(out, [f for (_, _, failed, _) in results for f in failed])
+    _run_per_rep((_train, _compress, _attack, _evaluate), plan, out, workers)
     return stage_report(plan, out, workers)
 
 

@@ -226,6 +226,8 @@ class ExperimentPlan:
         for cap in self.fpr_caps:
             if not 0.0 <= cap <= 1.0:
                 raise PlanError(f"fpr cap {cap} outside [0, 1]")
+            if self.fpr_caps.count(cap) > 1:
+                raise PlanError(f"fpr cap {cap} is listed twice")
 
 
 def _convert(hint, text: str):

@@ -4,6 +4,7 @@ import collections
 import concurrent.futures
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -272,7 +273,7 @@ class TestRepetitionTask:
                 if f.parts[0] == "report"} == before
 
     def test_report_holds_only_the_plan_cells(self, tmp_path, monkeypatch):
-        # a wider plan's run leaves score and metric files and a failure of cells
+        # a wider plan's run leaves score files and a failure of cells
         # that a narrower plan, rerun into the same directory, does not request
         from compaudit import attacks
         from compaudit.errors import ConfigError
@@ -357,6 +358,33 @@ class TestRepetitionTask:
         assert all((full / f).read_bytes() == (staged / f).read_bytes() for f in files)
 
 
+def readme_layout() -> list[str]:
+    """The path patterns of the README's output layout block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^### Output layout\n\n```\nout/\n(.*?)^```", readme, flags=re.S | re.M)
+    return [line.split()[0] for line in block[1].splitlines()]
+
+
+def layout_regex(pattern: str) -> re.Pattern:
+    """``<a|b>`` stands for either name, any other ``<name>`` for one path component."""
+    parts = re.split(r"<([^>]+)>", pattern)  # literal, placeholder, literal, ...
+    return re.compile("".join(
+        re.escape(p) if i % 2 == 0 else f"({p})" if "|" in p else "[^/]+"
+        for i, p in enumerate(parts)))
+
+
+def test_readme_layout_names_every_output_file(tmp_path):
+    out = tmp_path / "out"
+    pipeline.run_plan(parse_plan_text(EVERY_KIND), out)
+    patterns = {p: layout_regex(p) for p in readme_layout()}
+    matched = collections.Counter()
+    for f in output_files(out):
+        hits = [p for p, regex in patterns.items() if regex.fullmatch(f.as_posix())]
+        assert len(hits) == 1, (f, hits)
+        matched.update(hits)
+    assert set(matched) == set(patterns)
+
+
 def output_files(out):
     return {p.relative_to(out) for p in out.rglob("*") if p.is_file()}
 
@@ -365,7 +393,7 @@ def stage_of(rel):
     """The stage that writes an output file, by the layout of the pipeline docstring."""
     if rel.parts[0] == "report":
         return "report"
-    if rel.name == "failures.json" or rel.parts[1] == "scores":
+    if rel.parts[1] == "scores":
         return "attack"
     if rel.parts[1] == "metrics":
         return "evaluate"
@@ -375,12 +403,11 @@ def stage_of(rel):
 class TestStageTables:
     @pytest.fixture(scope="class")
     def clean(self, tmp_path_factory):
-        """A finished run with every compression family and a failures file."""
+        """A finished run with every compression family."""
         families = "prune = 0.7\nint8 = true\nclusters = 4"
         plan = parse_plan_text(MINIMAL.replace("prune = 0.7", families))
         out = tmp_path_factory.mktemp("clean") / "out"
         pipeline.run_plan(plan, out)
-        (out / "failures.json").write_text("[]", encoding="utf-8")
         return plan, out
 
     @pytest.mark.parametrize("stage", pipeline.STAGES)
@@ -455,6 +482,24 @@ class TestFailureIsolation:
         # the healthy cell still computed
         assert {c["attack"] for c in report["cells"]} == {"nr_loss"}
 
+    def test_a_cell_that_succeeds_on_resume_is_no_failure(self, tmp_path, monkeypatch):
+        from compaudit import attacks
+        from compaudit.errors import ConfigError
+
+        def broken(*args, **kwargs):
+            raise ConfigError("sabotaged cell")
+
+        plan_path, out = tmp_path / "plan.ini", tmp_path / "out"
+        plan_path.write_text(MINIMAL, encoding="utf-8")
+        argv = ["--plan", str(plan_path), "--out", str(out)]
+        with monkeypatch.context() as patch:
+            patch.setattr(attacks, "run_nr_metric", broken)
+            assert cli.main(argv) == 1
+        assert cli.main(argv) == 0
+        report = json.loads(report_bytes(out))
+        assert report["failures"] == []
+        assert [c["attack"] for c in report["cells"]] == ["nr_loss"]
+
     def test_cli_exit_one_on_failed_cells(self, tmp_path, monkeypatch, capsys):
         from compaudit import attacks
         from compaudit.errors import ConfigError
@@ -468,6 +513,23 @@ class TestFailureIsolation:
         code = cli.main(["--plan", str(plan_path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "failed cells" in capsys.readouterr().err
+
+
+class TestEditedPlan:
+    @pytest.mark.parametrize("stage", [None, "report"], ids=["full_run", "report_stage"])
+    def test_new_fpr_caps_rescore_every_cell(self, tmp_path, stage):
+        edited = MINIMAL + "\n[metrics]\nfpr_caps = 0.05\n"
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for text, directory in ((MINIMAL, out), (edited, fresh)):
+            path = tmp_path / f"{directory.name}.ini"
+            path.write_text(text, encoding="utf-8")
+            assert cli.main(["--plan", str(path), "--out", str(directory)]) == 0
+        argv = ["--plan", str(tmp_path / "fresh.ini"), "--out", str(out)]
+        assert cli.main(argv + (["--stage", stage] if stage else [])) == 0
+        report = json.loads(report_bytes(out))
+        assert report["fpr_caps"] == ["0.05"]
+        assert [list(c["tpr_at_fpr"]) for c in report["cells"]] == [["0.05"]]
+        assert report_bytes(out) == report_bytes(fresh)
 
 
 class TestFinetuneFraction:
@@ -572,15 +634,26 @@ class TestCli:
                          "--stage", "attack"])
         assert code == 2
 
+    def test_evaluate_without_compress_exit_two(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(MINIMAL, encoding="utf-8")
+        argv = ["--plan", str(plan_path), "--out", str(tmp_path / "out"), "--stage"]
+        assert cli.main(argv + ["train"]) == 0
+        capsys.readouterr()
+        assert cli.main(argv + ["evaluate"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "compress stage output" in err[0]
+        assert err[0].endswith("prune70_victim.json")
+
     def test_truncated_score_file_exit_two(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.ini"
         plan_path.write_text(MINIMAL, encoding="utf-8")
         out = tmp_path / "out"
-        for stage in ("train", "compress", "attack"):
+        for stage in ("train", "compress", "attack", "evaluate"):
             assert cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", stage]) == 0
         score = out / "checkpoints" / "scores" / "rep0" / "nr_loss__prune70.json"
         score.write_bytes(score.read_bytes()[:40])
-        code = cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", "evaluate"])
+        code = cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", "report"])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "malformed JSON" in err[0]
@@ -629,7 +702,7 @@ class TestCli:
 
     @pytest.mark.parametrize("damaged", [
         "checkpoints/scores/rep0/nr_loss__prune70.json",
-        "checkpoints/metrics/rep0/nr_loss__prune70.json",
+        "checkpoints/scores/failures_rep0.json",
         "checkpoints/metrics/models_rep0.json",
     ])
     def test_resume_recomputes_a_damaged_output(self, tmp_path, damaged):

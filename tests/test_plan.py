@@ -293,6 +293,11 @@ class TestTargetKeys:
         with pytest.raises(PlanError, match=key):
             parse_plan_text(GOOD.replace("prune = 0.6,0.8", edit))
 
+    def test_fpr_cap_listed_twice_rejected(self):
+        assert "fpr_caps = 0.1\n" in GOOD
+        with pytest.raises(PlanError, match="fpr cap 0.1 is listed twice"):
+            parse_plan_text(GOOD.replace("fpr_caps = 0.1\n", "fpr_caps = 0.1, 0.10\n"))
+
 
 def test_readme_example_plan_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
