@@ -71,10 +71,9 @@ def calibrate_threshold(member_values: np.ndarray, nonmember_values: np.ndarray)
 
     Every midpoint of the sorted distinct values is a candidate, and ties
     go to the smallest. Binary searches in the sorted populations count
-    the members below and the non-members at or above each candidate, and
-    the balanced accuracy is then computed as
-    ``threshold_balanced_accuracy`` computes it. Both populations must be
-    non-empty and finite.
+    the members below each candidate and the non-members at or above it;
+    the balanced accuracy is half the sum of those two fractions. Both
+    populations must be non-empty and finite.
     """
     mv = np.asarray(member_values, dtype=float).ravel()
     nv = np.asarray(nonmember_values, dtype=float).ravel()
@@ -90,13 +89,6 @@ def calibrate_threshold(member_values: np.ndarray, nonmember_values: np.ndarray)
     nonmembers_above = nv.size - np.searchsorted(np.sort(nv), candidates)
     ba = 0.5 * (members_below / mv.size + nonmembers_above / nv.size)
     return float(candidates[np.argmax(ba)])
-
-
-def threshold_balanced_accuracy(member_values, nonmember_values, tau: float) -> float:
-    """Balanced accuracy of the rule "member iff value < tau"."""
-    mv = np.asarray(member_values, dtype=float)
-    nv = np.asarray(nonmember_values, dtype=float)
-    return 0.5 * (float(np.mean(mv < tau)) + float(np.mean(nv >= tau)))
 
 
 def build_nr_metadata_batch(posteriors, labels, with_label: bool) -> np.ndarray:

@@ -8,7 +8,7 @@ Environment overrides are limited to paths and thread count:
 COMPAUDIT_OUT supplies the default output directory and COMPAUDIT_WORKERS
 the default worker count (unset or empty: the plan's). Exit code 0 on
 success, 1 when attack cells failed (with a per-cell listing), 2 on usage,
-plan or dependency errors, with one ``error:`` line.
+plan, dependency or file-system errors, with one ``error:`` line.
 """
 
 import argparse
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         else:
             result = run_stage(plan, args.out, args.stage, workers=args.workers)
             report = result if args.stage == "report" else None
-    except CompauditError as exc:
+    except (CompauditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if report is not None:

@@ -50,37 +50,30 @@ class TabularDataset:
         return self.features[idx], self.labels[idx]
 
 
-@dataclass
-class CsvSchema:
-    """How to read a CSV file: feature columns plus one integer label column."""
+def load_csv(path, label_column: int = -1, has_header: bool = False,
+             class_count: int | None = None) -> TabularDataset:
+    """Load numeric features and one integer label column, preserving row order.
 
-    label_column: int = -1
-    has_header: bool = False
-    class_count: int | None = None
-
-
-def load_csv(path, schema: CsvSchema | None = None) -> TabularDataset:
-    """Load a tabular dataset, preserving row order.
-
-    Malformed rows raise a parse error naming the 1-based line number;
-    labels outside the declared class range raise a schema error.
+    ``label_column`` indexes a row as in Python, ``has_header`` skips line 1,
+    and with no ``class_count`` the labels run 0 to the largest. Malformed
+    rows raise a parse error naming the 1-based line number; labels outside
+    the declared class range raise a schema error.
     """
-    schema = schema or CsvSchema()
     rows, labels = [], []
     width = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
-            if schema.has_header and lineno == 1:
+            if has_header and lineno == 1:
                 continue
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if width is None:
                 width = len(row)
-                if not -width <= schema.label_column < width:
-                    raise DataError(f"label_column {schema.label_column} is outside a "
+                if not -width <= label_column < width:
+                    raise DataError(f"label_column {label_column} is outside a "
                                     f"{width}-column file (valid: {-width} to {width - 1})")
-                label_col = schema.label_column % width
+                label_col = label_column % width
             elif len(row) != width:
                 raise DataError(f"line {lineno}: expected {width} columns, got {len(row)}")
             feats = []
@@ -99,9 +92,9 @@ def load_csv(path, schema: CsvSchema | None = None) -> TabularDataset:
                 raise DataError(f"line {lineno}: non-integer label {row[label_col]!r}") from None
             if label < 0:
                 raise SchemaError(f"line {lineno}: negative label {label}")
-            if schema.class_count is not None and label >= schema.class_count:
+            if class_count is not None and label >= class_count:
                 raise SchemaError(
-                    f"line {lineno}: label {label} out of range [0, {schema.class_count})"
+                    f"line {lineno}: label {label} out of range [0, {class_count})"
                 )
             rows.append(feats)
             labels.append(label)
@@ -109,7 +102,8 @@ def load_csv(path, schema: CsvSchema | None = None) -> TabularDataset:
         raise DataError(f"{path}: no data rows")
     features = np.asarray(rows, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
-    class_count = schema.class_count if schema.class_count is not None else int(labels.max()) + 1
+    if class_count is None:
+        class_count = int(labels.max()) + 1
     return TabularDataset(features, labels, class_count)
 
 

@@ -77,10 +77,6 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
 
-    def auc(self) -> float:
-        """Step-rule integral of the curve (trapezoid on tie segments)."""
-        return float(np.sum(np.diff(self.fpr) * (self.tpr[1:] + self.tpr[:-1]) / 2.0))
-
 
 def roc_curve(scores: AttackScoreSet) -> RocCurve:
     scores.require_nonempty()
@@ -115,17 +111,8 @@ def small_sample_flag(scores: AttackScoreSet, fpr_cap: float) -> bool:
     return scores.nonmember_scores.size * fpr_cap < 1.0
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """sum p * log(p / q) in nats, with both arguments clamped to 1e-12."""
-    p = np.maximum(np.asarray(p, dtype=float), KL_CLAMP)
-    q = np.maximum(np.asarray(q, dtype=float), KL_CLAMP)
-    if p.shape != q.shape:
-        raise InputError("distributions must have equal length")
-    return float(np.sum(p * np.log(p / q)))
-
-
 def kl_divergence_batch(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Row-wise KL divergence between two posterior batches."""
+    """Row-wise KL divergence sum p * log(p / q) in nats, both clamped to 1e-12."""
     P = np.maximum(np.asarray(P, dtype=float), KL_CLAMP)
     Q = np.maximum(np.asarray(Q, dtype=float), KL_CLAMP)
     if P.shape != Q.shape:

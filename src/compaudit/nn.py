@@ -243,17 +243,6 @@ def forward(model: FcnModel, inputs: np.ndarray) -> np.ndarray:
     return softmax(logits, out=logits)
 
 
-def cross_entropy_loss(posterior: np.ndarray, label: int) -> float:
-    """-log p_y with p_y clamped to at least 1e-12."""
-    p = np.asarray(posterior, dtype=float)
-    if p.ndim != 1:
-        raise ShapeError("posterior must be a vector")
-    label = int(label)
-    if not 0 <= label < p.shape[0]:
-        raise InputError("label out of range")
-    return float(-np.log(max(p[label], LOSS_CLAMP)))
-
-
 def cross_entropy_losses(posteriors: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Vector of per-sample cross-entropy losses."""
     P = np.asarray(posteriors, dtype=float)
@@ -330,25 +319,6 @@ def loss_and_gradients(
     if l2_lambda > 0:
         dWs = [dW + l2_lambda * w for dW, w in zip(dWs, model.weights)]
     return loss, dWs, dbs
-
-
-def per_sample_gradients(model: FcnModel, X: np.ndarray, labels: np.ndarray):
-    """Per-sample cross-entropy gradients with dropout off (no regularization).
-
-    Returns (pWs, pbs, norms): pWs[l] has shape (B, out, in), pbs[l]
-    shape (B, out), norms the per-sample global L2 gradient norm.
-    Training never builds these tensors; this is the reference the
-    ghost-norm DP-SGD step is tested against.
-    """
-    X = _validate_inputs(model, X)
-    labels = np.asarray(labels, dtype=np.int64)
-    Y = one_hot(labels, model.output_dim)
-    buf = _Buffers(model.layer_sizes, X.shape[0], grads=False)
-    hs, masks, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, None, buf)
-    pbs = _layer_deltas(model.weights, hs, masks, softmax(logits) - Y, buf)
-    pWs = [np.einsum("bo,bi->boi", d, h) for d, h in zip(pbs, hs)]
-    sq = sum(np.sum(pW**2, axis=(1, 2)) + np.sum(pb**2, axis=1) for pW, pb in zip(pWs, pbs))
-    return pWs, pbs, np.sqrt(sq)
 
 
 class _TrainState:

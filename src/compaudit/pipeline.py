@@ -133,12 +133,8 @@ def build_dataset(plan: ExperimentPlan) -> data.TabularDataset:
     ds = plan.dataset
     if ds.kind == "synth":
         return data.synth_generate(ds.samples, ds.features, ds.classes, ds.spread, seed=ds.seed)
-    schema = data.CsvSchema(
-        label_column=ds.label_column,
-        has_header=ds.has_header,
-        class_count=ds.classes if ds.classes > 0 else None,
-    )
-    return data.load_csv(ds.path, schema)
+    return data.load_csv(ds.path, label_column=ds.label_column, has_header=ds.has_header,
+                         class_count=ds.classes if ds.classes > 0 else None)
 
 
 def build_split(plan: ExperimentPlan, dataset: data.TabularDataset, rep: int) -> data.SplitPlan:
@@ -290,21 +286,14 @@ def _attack_cells(plan: ExperimentPlan) -> list[tuple[str, str]]:
     return sorted(set(cells))
 
 
-def _cell_files(plan: ExperimentPlan, directory: Path) -> list[Path]:
-    """The files in ``directory`` of the plan's cells; another plan's cells are never read."""
-    return [p for a, t in _attack_cells(plan) if (p := directory / f"{a}__{t}.json").exists()]
-
-
 def _run_attack_cell(plan, dataset, split, pair, rep, attack_key, target_key):
     """Scores of one cell; ``pair(key)`` gives the (victim, shadow) models of a target."""
     seed = derive_seed(plan.seed_base, rep, "attack", attack_key, target_key)
-    extra = {}
     if attack_key.startswith("nr_"):
         name = attack_key[len("nr_"):]
         victim, shadow = pair(target_key)
         if name in ("loss", "mentr"):
-            tau, scores = attacks.run_nr_metric(dataset, split, victim, shadow, metric=name)
-            extra["tau"] = tau
+            _, scores = attacks.run_nr_metric(dataset, split, victim, shadow, metric=name)
         else:
             with_label = name.startswith("posterior_label")
             clf_kind = name.rsplit("_", 1)[1]
@@ -336,7 +325,7 @@ def _run_attack_cell(plan, dataset, split, pair, rep, attack_key, target_key):
             sr_clf_kind=plan.attacks.mr_sr_classifier,
             seed=seed,
         )
-    return scores, extra
+    return scores
 
 
 def _failures_path(out: Path, rep: int) -> Path:
@@ -357,8 +346,8 @@ def _attack(r: _Rep):
         if _intact(path):
             continue
         try:
-            scores, extra = _run_attack_cell(r.plan, r.dataset, r.split, pair, r.rep,
-                                             attack_key, target_key)
+            scores = _run_attack_cell(r.plan, r.dataset, r.split, pair, r.rep,
+                                      attack_key, target_key)
         except (CheckpointError, DependencyError):
             raise  # a missing or damaged model is an input of every cell that reads it
         except CompauditError as exc:  # per-cell isolation
@@ -372,7 +361,6 @@ def _attack(r: _Rep):
                 "member_scores": scores.member_scores,
                 "nonmember_scores": scores.nonmember_scores,
                 "decision_threshold": scores.decision_threshold,
-                "extra": extra,
             },
             path,
         )
@@ -445,23 +433,28 @@ def _scored_cell(out: Path, plan: ExperimentPlan, rep: int, score_path: Path) ->
 
 
 def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
-    """Write the report from the accuracy, failure and score files of the plan's cells."""
+    """Write the report; each plan cell of each repetition needs a score file or a failure."""
     out = Path(out)
-    names = {f"{a}__{t}" for a, t in _attack_cells(plan)}
-    models, failures = {}, []
+    names = [f"{a}__{t}" for a, t in _attack_cells(plan)]
+    models, failures, score_paths = {}, [], []
     for rep in range(plan.repetitions):
         table, failed = _accuracy_path(out, rep), _failures_path(out, rep)
         for path, stage in [(table, "evaluate"), (failed, "attack")][: 1 + bool(names)]:
             if not path.exists():
                 raise DependencyError(f"report needs the {stage} stage output {path}")
         models[f"rep{rep}"] = checkpoint.read_json(table)
-        if names:
-            failures += [f for f in checkpoint.read_json(failed) if f["cell"] in names]
+        listed = [f for f in checkpoint.read_json(failed) if f["cell"] in names] if names else []
+        failures += listed
+        for name in names:
+            path = out / "checkpoints" / "scores" / f"rep{rep}" / f"{name}.json"
+            if path.exists():
+                score_paths.append((rep, path))
+            elif name not in {f["cell"] for f in listed}:
+                raise DependencyError(f"report needs the attack stage output {path}")
     roc_dir = out / "report" / "roc"
     shutil.rmtree(roc_dir, ignore_errors=True)  # no curve of a cell the plan left out stays
     roc_dir.mkdir(parents=True)
-    cells = [_scored_cell(out, plan, rep, path) for rep in range(plan.repetitions)
-             for path in _cell_files(plan, out / "checkpoints" / "scores" / f"rep{rep}")]
+    cells = [_scored_cell(out, plan, rep, path) for rep, path in score_paths]
     aggregates = {}
     by_cell = {}
     for c in cells:

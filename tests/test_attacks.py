@@ -44,16 +44,23 @@ class TestMetricAttacks:
         assert np.all(attacks.modified_entropy(P, y) >= -1e-12)
 
 
+def threshold_balanced_accuracy(member_values, nonmember_values, tau: float) -> float:
+    """Balanced accuracy of the rule "member iff value < tau"."""
+    mv = np.asarray(member_values, dtype=float)
+    nv = np.asarray(nonmember_values, dtype=float)
+    return 0.5 * (float(np.mean(mv < tau)) + float(np.mean(nv >= tau)))
+
+
 class TestCalibrateThreshold:
     def test_separable_populations(self):
         tau = attacks.calibrate_threshold(np.zeros(10), np.ones(10))
         assert tau == 0.5
-        assert attacks.threshold_balanced_accuracy(np.zeros(10), np.ones(10), tau) == 1.0
+        assert threshold_balanced_accuracy(np.zeros(10), np.ones(10), tau) == 1.0
 
     def test_identical_populations_ba_half(self):
         vals = np.array([0.1, 0.4, 0.9])
         tau = attacks.calibrate_threshold(vals, vals)
-        assert attacks.threshold_balanced_accuracy(vals, vals, tau) == 0.5
+        assert threshold_balanced_accuracy(vals, vals, tau) == 0.5
 
     def test_matches_bruteforce_argmax(self):
         rng = np.random.default_rng(2)
@@ -65,11 +72,11 @@ class TestCalibrateThreshold:
             candidates = (uniq[1:] + uniq[:-1]) / 2
             best = max(
                 candidates,
-                key=lambda t: (attacks.threshold_balanced_accuracy(member, nonmember, t), -t),
+                key=lambda t: (threshold_balanced_accuracy(member, nonmember, t), -t),
             )
-            assert attacks.threshold_balanced_accuracy(
+            assert threshold_balanced_accuracy(
                 member, nonmember, tau
-            ) == attacks.threshold_balanced_accuracy(member, nonmember, best)
+            ) == threshold_balanced_accuracy(member, nonmember, best)
             assert tau == best
 
     def test_empty_population_rejected(self):
@@ -115,7 +122,7 @@ def scan_threshold(member_values, nonmember_values):
         return float(uniq[0])
     best_tau, best_ba = None, -1.0
     for tau in (uniq[1:] + uniq[:-1]) / 2.0:
-        ba = attacks.threshold_balanced_accuracy(mv, nv, tau)
+        ba = threshold_balanced_accuracy(mv, nv, tau)
         if ba > best_ba:
             best_tau, best_ba = tau, ba
     return float(best_tau)

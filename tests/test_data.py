@@ -34,7 +34,7 @@ class TestLoadCsv:
     def test_label_out_of_declared_range(self, tmp_path):
         p = self.write(tmp_path, "1.0,0\n2.0,7\n")
         with pytest.raises(SchemaError, match="line 2"):
-            data.load_csv(p, data.CsvSchema(class_count=3))
+            data.load_csv(p, class_count=3)
 
     @pytest.mark.parametrize("column, label", [(0, [1, 4]), (2, [3, 6]), (-3, [1, 4]),
                                                (3, None), (-4, None), (7, None)])
@@ -42,13 +42,13 @@ class TestLoadCsv:
         p = self.write(tmp_path, "1,2,3\n4,5,6\n")
         if label is None:
             with pytest.raises(DataError, match=rf"label_column {column} .*3-column"):
-                data.load_csv(p, data.CsvSchema(label_column=column))
+                data.load_csv(p, label_column=column)
         else:
-            assert data.load_csv(p, data.CsvSchema(label_column=column)).labels.tolist() == label
+            assert data.load_csv(p, label_column=column).labels.tolist() == label
 
     def test_header_flag(self, tmp_path):
         p = self.write(tmp_path, "f,label\n1.0,0\n2.0,1\n")
-        ds = data.load_csv(p, data.CsvSchema(has_header=True))
+        ds = data.load_csv(p, has_header=True)
         assert ds.n_samples == 2
 
     def test_location_style_shape(self, tmp_path):
@@ -59,7 +59,7 @@ class TestLoadCsv:
             feats = rng.integers(0, 2, 446)
             rows.append(",".join(map(str, feats.tolist() + [i % 30])))
         p = self.write(tmp_path, "\n".join(rows) + "\n")
-        ds = data.load_csv(p, data.CsvSchema(class_count=30))
+        ds = data.load_csv(p, class_count=30)
         assert ds.n_features == 446
         assert ds.class_count == 30
         assert set(np.unique(ds.features)) <= {0.0, 1.0}

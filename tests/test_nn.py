@@ -68,24 +68,25 @@ class TestForward:
 
 class TestCrossEntropy:
     def test_certain_prediction_has_zero_loss(self):
-        assert nn.cross_entropy_loss(np.array([0.0, 1.0, 0.0]), 1) == 0.0
+        assert nn.cross_entropy_losses(np.array([[0.0, 1.0, 0.0]]), np.array([1])).tolist() == [0.0]
 
     def test_half_probability(self):
-        val = nn.cross_entropy_loss(np.array([0.25, 0.5, 0.25]), 1)
-        assert val == pytest.approx(0.6931471805599453, abs=1e-12)
+        val = nn.cross_entropy_losses(np.array([[0.25, 0.5, 0.25]]), np.array([1]))
+        assert val[0] == pytest.approx(0.6931471805599453, abs=1e-12)
 
     def test_zero_probability_clamped(self):
-        val = nn.cross_entropy_loss(np.array([1.0, 0.0]), 1)
-        assert val == pytest.approx(-np.log(1e-12))
-        assert np.isfinite(val)
+        val = nn.cross_entropy_losses(np.array([[1.0, 0.0]]), np.array([1]))
+        assert val[0] == pytest.approx(-np.log(1e-12))
+        assert np.isfinite(val[0])
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_one_row_cases(self):
         rng = np.random.default_rng(0)
         P = nn.softmax(rng.normal(size=(20, 4)))
         y = rng.integers(0, 4, 20)
         batch = nn.cross_entropy_losses(P, y)
-        singles = [nn.cross_entropy_loss(P[i], int(y[i])) for i in range(20)]
-        assert np.allclose(batch, singles)
+        singles = [nn.cross_entropy_losses(P[i : i + 1], y[i : i + 1])[0] for i in range(20)]
+        assert batch.tolist() == singles
+        assert np.allclose(batch, -np.log(P[np.arange(20), y]))
 
 
 def central_difference_grads(model, X, y, l2, h=1e-4, train_mode=False, seed=0):
@@ -108,6 +109,25 @@ def central_difference_grads(model, X, y, l2, h=1e-4, train_mode=False, seed=0):
     return dWs, dbs
 
 
+def per_sample_gradients(model, X, labels):
+    """Per-sample cross-entropy gradients with dropout off (no regularization).
+
+    Returns (pWs, pbs, norms): pWs[l] has shape (B, out, in), pbs[l]
+    shape (B, out), norms the per-sample global L2 gradient norm.
+    Training never builds these tensors; this is the reference the
+    ghost-norm DP-SGD step is tested against.
+    """
+    X = nn._validate_inputs(model, X)
+    labels = np.asarray(labels, dtype=np.int64)
+    Y = nn.one_hot(labels, model.output_dim)
+    buf = nn._Buffers(model.layer_sizes, X.shape[0], grads=False)
+    hs, masks, logits = nn._forward_pass(model.weights, model.biases, model.dropout_rates, X, None, buf)
+    pbs = nn._layer_deltas(model.weights, hs, masks, nn.softmax(logits) - Y, buf)
+    pWs = [np.einsum("bo,bi->boi", d, h) for d, h in zip(pbs, hs)]
+    sq = sum(np.sum(pW**2, axis=(1, 2)) + np.sum(pb**2, axis=1) for pW, pb in zip(pWs, pbs))
+    return pWs, pbs, np.sqrt(sq)
+
+
 class TestGradients:
     @pytest.mark.parametrize("l2,dropout", [(0.0, [0.0]), (0.01, [0.0]), (0.0, [0.3])])
     def test_matches_central_differences(self, l2, dropout):
@@ -126,7 +146,7 @@ class TestGradients:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(9, 5))
         y = rng.integers(0, 3, 9)
-        pWs, pbs, norms = nn.per_sample_gradients(model, X, y)
+        pWs, pbs, norms = per_sample_gradients(model, X, y)
         _, dWs, dbs = nn.loss_and_gradients(model, X, y)
         for p, d in zip(pWs, dWs):
             assert np.allclose(p.mean(axis=0), d, atol=1e-12)
@@ -225,7 +245,7 @@ class TestDpSgd:
         model = zero_model([2, 2], dropout=[])
         X = np.array([[30.0, 40.0]])
         y = np.array([0])
-        _, _, norms = nn.per_sample_gradients(model, X, y)
+        _, _, norms = per_sample_gradients(model, X, y)
         assert norms[0] > 1.0
         lr = 0.01
         cfg = nn.TrainConfig(learning_rate=lr, batch_size=1, max_epochs=1, seed=0)
@@ -273,7 +293,7 @@ class TestDpStepOracle:
         state = nn._TrainState(model, constraint)
         eff = state.effective_weights()
         eff_model = nn.FcnModel(model.layer_sizes, eff, state.biases, model.dropout_rates)
-        pWs, pbs, norms = nn.per_sample_gradients(eff_model, X, y)
+        pWs, pbs, norms = per_sample_gradients(eff_model, X, y)
         clip = float(np.median(norms))
         dp = nn.DpConfig(clip_norm=clip, noise_multiplier=0.7)
         factors = np.minimum(1.0, clip / norms)

@@ -627,6 +627,37 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("case", ["missing_csv", "csv_is_a_directory", "out_is_a_file"])
+    def test_file_system_error_is_one_line_exit_two(self, tmp_path, capsys, case):
+        plan_text, out = MINIMAL, tmp_path / "o"
+        if case == "out_is_a_file":
+            out.write_text("", encoding="utf-8")
+        else:
+            csv_path = tmp_path / "rows.csv"
+            if case == "csv_is_a_directory":
+                csv_path.mkdir()
+            synth = MINIMAL[MINIMAL.index("[dataset]"):MINIMAL.index("[split]")]
+            plan_text = MINIMAL.replace(synth, f"[dataset]\nkind = csv\npath = {csv_path}\n\n")
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(plan_text, encoding="utf-8")
+        assert cli.main(["--plan", str(plan_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(tmp_path / ("o" if case == "out_is_a_file" else "rows.csv")) in err[0]
+
+    def test_report_of_a_cell_with_neither_scores_nor_failure_exit_two(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(MINIMAL, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["--plan", str(plan_path), "--out", str(out)]) == 0
+        plan_path.write_text(MINIMAL.replace("nr = loss", "nr = loss,mentr"), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", "report"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "attack stage output" in err[0]
+        assert err[0].endswith("nr_mentr__prune70.json")
+
     def test_dependency_error_exit_two(self, tmp_path):
         plan_path = tmp_path / "plan.ini"
         plan_path.write_text(MINIMAL, encoding="utf-8")
