@@ -2,17 +2,17 @@
 
 Minimal numpy implementation of a fully connected softmax classifier:
 forward pass with optional seeded dropout, cross-entropy SGD training with
-L2 regularization and best-validation early stopping, and constraint-aware
-updates for compressed models. Plain SGD and DP-SGD run one training loop
-with different gradient rules: the batch mean, or per-sample clipping plus
-Gaussian noise. DP-SGD clips by ghost norms (Goodfellow 2015; Li et al.
-2022): each sample's gradient norm and the clipped sum come from the
-batch's layer deltas and layer inputs, without building per-sample
-gradients; a DP-SGD step costs about 2.5 plain ones, most of the extra
-being the Gaussian noise draws. A training run allocates its activation,
-dropout-mask and gradient arrays once and does every step in place in
-them, each operation in the order a step on new arrays would take, so
-the bits are the same.
+L2 regularization and an optional best-validation-epoch snapshot, and
+constraint-aware updates for compressed models. Plain SGD and DP-SGD run
+one training loop and one batch step with different gradient rules: the
+batch mean, or per-sample clipping plus Gaussian noise. DP-SGD clips by
+ghost norms (Goodfellow 2015; Li et al. 2022): each sample's gradient norm
+and the clipped sum come from the batch's layer deltas and layer inputs,
+without building per-sample gradients; a DP-SGD step costs about 2.5
+plain ones, most of the extra being the Gaussian noise draws. A training
+run allocates its activation, dropout-mask and gradient arrays once and
+does every step in place in them, each operation in the order a step on
+new arrays would take, so the bits are the same.
 
 Everything is deterministic: the same model, data, config, and seed
 reproduce a bitwise-identical trained model. Posteriors are produced by a
@@ -41,9 +41,7 @@ class TrainConfig:
     batch_size: int
     max_epochs: int
     l2_lambda: float = 0.0
-    early_stop_patience: int = 0
     seed: int = 0
-    momentum: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -54,10 +52,6 @@ class TrainConfig:
             raise InputError("max_epochs must be non-negative")
         if self.l2_lambda < 0:
             raise InputError("l2_lambda must be non-negative")
-        if self.early_stop_patience < 0:
-            raise InputError("early_stop_patience must be non-negative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InputError("momentum must be in [0, 1)")
 
 
 @dataclass
@@ -292,6 +286,21 @@ def _mean_rule(weights, hs, masks, delta, buf: _Buffers):
     return _gradients(_layer_deltas(weights, hs, masks, delta, buf), hs, buf)
 
 
+def _step(weights, biases, dropout_rates, X, y, rng, buf: _Buffers, rule, l2_lambda: float):
+    """One batch step in ``buf``: the mean cross-entropy loss of the rows of
+    ``X`` and its gradients, which ``rule`` maps from the cached activations
+    and the output delta P - Y, plus the L2 term's. Returns (loss, dWs, dbs)."""
+    hs, masks, logits = _forward_pass(weights, biases, dropout_rates, X, rng, buf)
+    P = softmax(logits, out=logits)
+    loss = float(np.mean(cross_entropy_losses(P, y)))
+    P[np.arange(X.shape[0]), y] -= 1.0  # P - Y, without the one-hot Y
+    dWs, dbs = rule(weights, hs, masks, P, buf)
+    if l2_lambda > 0:
+        for dW, w, scratch in zip(dWs, weights, buf.tW):
+            dW += np.multiply(w, l2_lambda, out=scratch)
+    return loss, dWs, dbs
+
+
 def loss_and_gradients(
     model: FcnModel,
     X: np.ndarray,
@@ -300,24 +309,19 @@ def loss_and_gradients(
     train_mode: bool = False,
     seed: int = 0,
 ):
-    """Objective value and its gradients for one batch.
+    """Objective value and its gradients for one batch: the training step of
+    ``train``, without the update.
 
     Objective = mean cross-entropy + (l2_lambda / 2) * sum of squared
     weights (biases unregularized). Returns (loss, dWs, dbs).
     """
     X = _validate_inputs(model, X)
-    labels = np.asarray(labels, dtype=np.int64)
-    Y = one_hot(labels, model.output_dim)
     rng = np.random.default_rng(_norm_seed(seed)) if train_mode else None
     buf = _Buffers(model.layer_sizes, X.shape[0])
-    hs, masks, logits = _forward_pass(model.weights, model.biases, model.dropout_rates, X, rng, buf)
-    P = softmax(logits, out=logits)
-    loss = float(np.mean(cross_entropy_losses(P, labels)))
+    loss, dWs, dbs = _step(model.weights, model.biases, model.dropout_rates, X,
+                           np.asarray(labels, dtype=np.int64), rng, buf, _mean_rule, l2_lambda)
     if l2_lambda > 0:
         loss += 0.5 * l2_lambda * sum(float(np.sum(w * w)) for w in model.weights)
-    dWs, dbs = _mean_rule(model.weights, hs, masks, P - Y, buf)
-    if l2_lambda > 0:
-        dWs = [dW + l2_lambda * w for dW, w in zip(dWs, model.weights)]
     return loss, dWs, dbs
 
 
@@ -332,21 +336,17 @@ class _TrainState:
         self.constraint = constraint or cons.Unconstrained()
         self.shapes = [w.shape for w in model.weights]
         self.params = self.constraint.parameters(model.weights)
-        self.vel = [np.zeros_like(p) for p in self.params]
         self.biases = [b.copy() for b in model.biases]
-        self.vel_b = [np.zeros_like(b) for b in model.biases]
 
     def effective_weights(self) -> list[np.ndarray]:
         return self.constraint.weights(self.params, self.shapes)
 
-    def apply_update(self, dWs, dbs, lr: float, momentum: float):
-        """One momentum step v = m v - lr g, p += v, in place; scales the gradients in place."""
+    def apply_update(self, dWs, dbs, lr: float):
+        """One SGD step p -= lr g, in place; scales the gradients in place."""
         grads = list(dbs) + list(self.constraint.gradients(dWs))
-        for v, g, p in zip(self.vel_b + self.vel, grads, self.biases + self.params):
-            v *= momentum
+        for g, p in zip(grads, self.biases + self.params):
             g *= lr
-            v -= g
-            p += v
+            p -= g
         self.constraint.project(self.params)
 
     def snapshot(self, template: FcnModel) -> FcnModel:
@@ -356,11 +356,6 @@ class _TrainState:
             [b.copy() for b in self.biases],
             list(template.dropout_rates),
         )
-
-
-def _as_xy(dataset) -> tuple[np.ndarray, np.ndarray]:
-    X, y = dataset
-    return np.asarray(X, dtype=float), np.asarray(y, dtype=np.int64)
 
 
 def _ghost_norms(deltas, hs) -> np.ndarray:
@@ -398,11 +393,9 @@ def _dp_rule(dp: DpConfig, rng_noise: np.random.Generator):
 
 
 def _fit(model, train_set, valid_set, config, constraint, rule) -> FcnModel:
-    """The training loop shared by ``train`` and ``train_dpsgd``; ``rule``
-    maps a batch's cached activations and output delta (P - Y) to the
-    gradients before L2. Each step works in the one ``_Buffers`` of the run."""
-    X, y = _as_xy(train_set)
-    X = _validate_inputs(model, X)
+    """The training loop shared by ``train`` and ``train_dpsgd``: one
+    ``_step`` with ``rule`` per batch, each in the one ``_Buffers`` of the run."""
+    X, y = _validate_inputs(model, train_set[0]), np.asarray(train_set[1], dtype=np.int64)
     if X.shape[0] == 0:
         raise InputError("training set is empty")
     if np.any(y < 0) or np.any(y >= model.output_dim):
@@ -413,32 +406,20 @@ def _fit(model, train_set, valid_set, config, constraint, rule) -> FcnModel:
     buf = _Buffers(model.layer_sizes, min(config.batch_size, n))
     best: FcnModel | None = None
     best_acc = -np.inf
-    stale = 0
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            eff = state.effective_weights()
-            hs, masks, logits = _forward_pass(eff, state.biases, model.dropout_rates, X[idx], rng, buf)
-            P = softmax(logits, out=logits)
-            loss = float(np.mean(cross_entropy_losses(P, y[idx])))
+            loss, dWs, dbs = _step(state.effective_weights(), state.biases, model.dropout_rates,
+                                   X[idx], y[idx], rng, buf, rule, config.l2_lambda)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
-            P[np.arange(idx.shape[0]), y[idx]] -= 1.0  # P - Y, without the one-hot Y
-            dWs, dbs = rule(eff, hs, masks, P, buf)
-            if config.l2_lambda > 0:
-                for dW, w, scratch in zip(dWs, eff, buf.tW):
-                    dW += np.multiply(w, config.l2_lambda, out=scratch)
-            state.apply_update(dWs, dbs, config.learning_rate, config.momentum)
+            state.apply_update(dWs, dbs, config.learning_rate)
         if valid_set is not None:
             snap = state.snapshot(model)
-            acc = evaluate_accuracy(snap, *_as_xy(valid_set))
+            acc = evaluate_accuracy(snap, *valid_set)
             if acc > best_acc:
-                best_acc, best, stale = acc, snap, 0
-            else:
-                stale += 1
-                if config.early_stop_patience > 0 and stale >= config.early_stop_patience:
-                    break
+                best_acc, best = acc, snap
     out = best if best is not None else state.snapshot(model)
     out.check_finite()
     return out
@@ -451,12 +432,11 @@ def train(
     config: TrainConfig,
     constraint: cons.Unconstrained | None = None,
 ) -> FcnModel:
-    """SGD training; returns the best-validation snapshot.
+    """SGD training for ``config.max_epochs`` epochs.
 
-    ``train_set``/``valid_set`` are (X, y) pairs; ``valid_set`` may be
-    None, in which case the final parameters are returned and early
-    stopping is inactive. With ``early_stop_patience`` > 0, training stops
-    after that many epochs without a validation-accuracy improvement.
+    ``train_set``/``valid_set`` are (X, y) pairs. Without a ``valid_set``
+    (None) the final parameters are returned; with one, the snapshot of
+    the epoch with the best validation accuracy (the first, on ties).
 
     A supplied constraint is honored after every update: pruned positions
     stay exactly zero, clustered layers keep their shared values (each

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attacks, checkpoint, compress, data, meta, metrics, nn
-from .errors import CheckpointError, CompauditError, DependencyError
+from .errors import CheckpointError, CompauditError, DependencyError, InputError
 from .plan import ExperimentPlan
 
 SCHEMA_VERSION = 1
@@ -210,11 +210,7 @@ def _train(r: _Rep):
         cfg = plan.train.config(seed=derive_seed(plan.seed_base, r.rep, "train", role))
         train_xy = r.dataset.xy(getattr(r.split, f"{role}_train"))
         if plan.dp is None:
-            valid_xy = (
-                r.dataset.xy(getattr(r.split, f"{role}_test"))
-                if cfg.early_stop_patience > 0 else None
-            )
-            trained = nn.train(model, train_xy, valid_xy, cfg)
+            trained = nn.train(model, train_xy, None, cfg)
         else:
             trained = nn.train_dpsgd(model, train_xy, cfg, plan.dp)
         r.save(f"original_{role}", trained)
@@ -412,14 +408,18 @@ def stage_evaluate(plan: ExperimentPlan, out: Path, workers: int = 1):
 def _scored_cell(out: Path, plan: ExperimentPlan, rep: int, score_path: Path) -> dict:
     """One cell's metrics from its score file; its ROC curve goes to ``report/roc``."""
     payload = checkpoint.read_json(score_path)
-    scores = metrics.AttackScoreSet(
-        payload["member_scores"],
-        payload["nonmember_scores"],
-        decision_threshold=payload["decision_threshold"],
-    )
+    try:
+        attack, target = payload["attack"], payload["target"]
+        if not (isinstance(attack, str) and isinstance(target, str)):
+            raise TypeError("attack and target must be strings")
+        scores = metrics.AttackScoreSet(payload["member_scores"], payload["nonmember_scores"],
+                                        decision_threshold=float(payload["decision_threshold"]))
+        scores.require_nonempty()
+    except (KeyError, TypeError, ValueError, InputError) as exc:
+        raise CheckpointError(f"{score_path}: malformed score file ({exc!r})") from None
     record = {
-        "attack": payload["attack"],
-        "target": payload["target"],
+        "attack": attack,
+        "target": target,
         "rep": rep,
         "balanced_accuracy": metrics.balanced_accuracy(scores),
         "auc": metrics.roc_auc(scores),
@@ -551,7 +551,7 @@ def _rep_task(steps, plan: ExperimentPlan, out_str: str, rep: int):
 
 
 def _run_per_rep(steps, plan: ExperimentPlan, out: Path, workers: int):
-    """``_rep_task(steps)`` for every repetition, on one pool when there are workers to use."""
+    """``_rep_task(steps)`` for every repetition; a pool has at most one worker per repetition."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     reps = list(range(plan.repetitions))
@@ -564,7 +564,7 @@ def _run_per_rep(steps, plan: ExperimentPlan, out: Path, workers: int):
     # that a run without a pool has no use for
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(reps))) as pool:
         # drained, so an exception in a worker raises here
         list(pool.map(task, [plan] * len(reps), [str(out)] * len(reps), reps))
 

@@ -14,8 +14,7 @@ Sections and keys (defaults in parentheses)::
       csv:   path, label_column (-1), has_header (false), classes (optional)
     [split]   victim_train, victim_test, shadow_train, shadow_test
     [train]   learning_rate, batch_size, max_epochs, hidden (256,128),
-              dropout (0.1), l2_lambda (0), early_stop_patience (0),
-              momentum (0)
+              dropout (0.1), l2_lambda (0)
     [dp]      optional: clip_norm, noise_multiplier, delta (1e-5)
     [compression] prune (empty, e.g. 0.6,0.7), clusters (empty, e.g. 16,8,4),
               int8 (false), int8_mode (qat), finetune_epochs (10),
@@ -84,8 +83,6 @@ class TrainSpec:
     hidden: list[int] = field(default_factory=lambda: [256, 128])
     dropout: float = 0.1
     l2_lambda: float = 0.0
-    early_stop_patience: int = 0
-    momentum: float = 0.0
 
     def __post_init__(self):
         self.config(seed=0)  # nn.TrainConfig's own checks
@@ -99,7 +96,7 @@ class TrainSpec:
         return nn.TrainConfig(
             learning_rate=self.learning_rate if lr is None else lr, batch_size=self.batch_size,
             max_epochs=self.max_epochs if epochs is None else epochs, l2_lambda=self.l2_lambda,
-            early_stop_patience=self.early_stop_patience, momentum=self.momentum, seed=seed)
+            seed=seed)
 
 
 @dataclass

@@ -154,6 +154,21 @@ class TestGradients:
             assert np.allclose(p.mean(axis=0), d, atol=1e-12)
         assert np.all(norms >= 0)
 
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_loss_and_gradients_is_the_training_step(self, l2):
+        # one full-batch epoch applies the gradients of the permuted batch
+        model = tiny_model([5, 6, 3], seed=7, dropout=[0.0])
+        rng = np.random.default_rng(9)
+        X, y = rng.normal(size=(12, 5)), rng.integers(0, 3, 12)
+        seed, lr = 33, 0.1
+        cfg = nn.TrainConfig(learning_rate=lr, batch_size=12, max_epochs=1, l2_lambda=l2, seed=seed)
+        trained = nn.train(model, (X, y), None, cfg)
+        perm = np.random.default_rng(seed).permutation(12)
+        _, dWs, dbs = nn.loss_and_gradients(model, X[perm], y[perm], l2)
+        params, grads = model.weights + model.biases, dWs + dbs
+        for got, p, g in zip(trained.weights + trained.biases, params, grads):
+            assert got.tobytes() == (p - g * lr).tobytes()
+
 
 def separable_set(n=120, seed=0):
     rng = np.random.default_rng(seed)
@@ -203,12 +218,17 @@ class TestTrain:
         with pytest.raises(TrainingError, match="epoch"):
             nn.train(model, (X * 1e6, y), None, self.config(learning_rate=1e9, max_epochs=3))
 
-    def test_early_stopping_returns_best_snapshot(self):
+    def test_valid_set_returns_best_epoch_snapshot(self):
         X, y = separable_set()
+        rng = np.random.default_rng(101)  # best after epoch 2, tied by every later epoch
+        valid = (rng.normal(size=(60, 4)) * 2.0, rng.integers(0, 2, 60))
         model = tiny_model([4, 8, 2], seed=1, dropout=[0.0])
-        cfg = self.config(max_epochs=40, early_stop_patience=3)
-        trained = nn.train(model, (X, y), (X, y), cfg)
-        assert nn.evaluate_accuracy(trained, X, y) >= 0.99
+        epochs = [nn.train(model, (X, y), None, self.config(max_epochs=k)) for k in range(1, 9)]
+        accs = [nn.evaluate_accuracy(m, *valid) for m in epochs]
+        best = epochs[int(np.argmax(accs))]  # the first best epoch
+        trained = nn.train(model, (X, y), valid, self.config(max_epochs=8))
+        for a, b in zip(trained.weights + trained.biases, best.weights + best.biases):
+            assert a.tobytes() == b.tobytes()
 
     def test_cluster_constraint_shared_updates(self):
         # two weights in one cluster: centroid delta = -lr * (g1 + g2)
@@ -312,7 +332,7 @@ class TestDpStepOracle:
             db = factors @ pb / X.shape[0]
             dWs.append(dW + std * rng_noise.standard_normal(dW.shape) + l2 * w)
             dbs.append(db + std * rng_noise.standard_normal(db.shape))
-        state.apply_update(dWs, dbs, lr, 0.0)
+        state.apply_update(dWs, dbs, lr)
         expected = state.snapshot(model)
 
         got = nn.train_dpsgd(model, (X, y), cfg, dp, constraint)
@@ -329,17 +349,15 @@ def reference_fit(model, train_set, valid_set, config, constraint=None, dp=None)
     constraint = constraint or cons.Unconstrained()
     shapes = [w.shape for w in model.weights]
     params = constraint.parameters(model.weights)
-    vel = [np.zeros_like(p) for p in params]
     biases = [b.copy() for b in model.biases]
-    vel_b = [np.zeros_like(b) for b in biases]
-    lr, momentum = config.learning_rate, config.momentum
+    lr = config.learning_rate
 
     def snapshot():
         weights = [w.copy() for w in constraint.weights(params, shapes)]
         return nn.FcnModel(model.layer_sizes, weights, [b.copy() for b in biases],
                            model.dropout_rates)
 
-    best, best_acc, stale = None, -np.inf, 0
+    best, best_acc = None, -np.inf
     for _ in range(config.max_epochs):
         order = rng.permutation(X.shape[0])
         for start in range(0, X.shape[0], config.batch_size):
@@ -385,22 +403,14 @@ def reference_fit(model, train_set, valid_set, config, constraint=None, dp=None)
                     dbs.append(d.sum(axis=0) / B + std * rng_noise.standard_normal(d.shape[1]))
             if config.l2_lambda > 0:
                 dWs = [dW + config.l2_lambda * w for dW, w in zip(dWs, eff)]
-            for l, db in enumerate(dbs):
-                vel_b[l] = momentum * vel_b[l] - lr * db
-                biases[l] += vel_b[l]
-            for l, g in enumerate(constraint.gradients(dWs)):
-                vel[l] = momentum * vel[l] - lr * g
-                params[l] += vel[l]
+            for p, g in zip(biases + params, dbs + constraint.gradients(dWs)):
+                p -= lr * g
             constraint.project(params)
         if valid_set is not None:
             snap = snapshot()
             acc = nn.evaluate_accuracy(snap, *valid_set)
             if acc > best_acc:
-                best_acc, best, stale = acc, snap, 0
-            else:
-                stale += 1
-                if config.early_stop_patience > 0 and stale >= config.early_stop_patience:
-                    break
+                best_acc, best = acc, snap
     return best if best is not None else snapshot()
 
 
@@ -408,9 +418,8 @@ class TestBufferedSteps:
     """Steps done in place in one buffer set give the bits of the reference loop."""
 
     @pytest.mark.parametrize("family", [None, "prune", "quant", "cluster"])
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("rule", ["sgd", "dpsgd"])
-    def test_parameters_equal_reference_bit_for_bit(self, monkeypatch, rule, momentum, family):
+    def test_parameters_equal_reference_bit_for_bit(self, monkeypatch, rule, family):
         epochs = []
         real = nn.evaluate_accuracy
         monkeypatch.setattr(nn, "evaluate_accuracy", lambda *a: epochs.append(1) or real(*a))
@@ -419,11 +428,10 @@ class TestBufferedSteps:
         valid = (rng.normal(size=(20, 5)), rng.integers(0, 3, 20))
         model, constraint = constrained(family, tiny_model([5, 9, 7, 3], seed=4, dropout=[0.2, 0.1]))
         # 50 rows in batches of 15 leave a last batch of 5
-        cfg = nn.TrainConfig(learning_rate=0.1, batch_size=15, max_epochs=12, l2_lambda=1e-3,
-                             early_stop_patience=2, seed=29, momentum=momentum)
+        cfg = nn.TrainConfig(learning_rate=0.1, batch_size=15, max_epochs=12, l2_lambda=1e-3, seed=29)
         if rule == "sgd":
             got = nn.train(model, (X, y), valid, cfg, constraint)
-            assert len(epochs) < cfg.max_epochs  # early stopping ended the run
+            assert len(epochs) == cfg.max_epochs  # validated after every epoch, none skipped
             expected = reference_fit(model, (X, y), valid, cfg, constraint)
         else:
             dp = nn.DpConfig(clip_norm=0.5, noise_multiplier=0.8)

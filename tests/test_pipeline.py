@@ -203,7 +203,8 @@ class TestStages:
         assert sorted(loads) == sorted(f"{k}_{r}.json" for k in ("original", "prune70")
                                        for r in ("victim", "shadow"))
 
-    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch, workers):
         plan = parse_plan_text(MINIMAL.replace("repetitions = 1", "repetitions = 2"))
         pools = []
 
@@ -217,8 +218,8 @@ class TestStages:
         seq, par = tmp_path / "seq", tmp_path / "par"
         pipeline.run_plan(plan, seq, workers=1)
         assert pools == []
-        pipeline.run_plan(plan, par, workers=2)
-        assert pools == [2]  # one pool for the whole run, not one per stage
+        pipeline.run_plan(plan, par, workers=workers)
+        assert pools == [2]  # one pool for the whole run, of one worker per repetition at most
         assert report_bytes(seq) == report_bytes(par)
         files = output_files(seq)
         assert files == output_files(par)
@@ -615,7 +616,12 @@ class TestCli:
         (("prune = 0.7\n", "prune = nan\n"), "prune sparsity nan"),
         (("prune = 0.7\n", "prune = inf\n"), "prune sparsity inf"),
         (None, "cannot read plan"),
-    ], ids=["split", "train", "dp", "prune_nan", "prune_inf", "no_file"])
+        (("learning_rate = 0.2\n", "learning_rate = 0.2\nmomentum = 0.9\n"),
+         "unknown key 'momentum'"),
+        (("learning_rate = 0.2\n", "learning_rate = 0.2\nearly_stop_patience = 3\n"),
+         "unknown key 'early_stop_patience'"),
+    ], ids=["split", "train", "dp", "prune_nan", "prune_inf", "no_file", "momentum",
+            "early_stop_patience"])
     def test_plan_error_is_one_line_exit_two(self, tmp_path, capsys, edit, named):
         plan_path = tmp_path / "plan.ini"
         if edit is not None:
@@ -688,6 +694,27 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "malformed JSON" in err[0]
+
+    @pytest.mark.parametrize("edit", [
+        lambda full: {},
+        lambda full: [full],
+        lambda full: {**full, "member_scores": "high"},
+        lambda full: {**full, "nonmember_scores": []},
+        lambda full: {**full, "decision_threshold": None},
+        lambda full: {**full, "attack": 3},
+    ], ids=["empty", "not_an_object", "scores_text", "no_scores", "threshold_null", "attack_int"])
+    def test_score_file_missing_or_mistyping_a_field_exit_two(self, tmp_path, capsys, edit):
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(MINIMAL, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["--plan", str(plan_path), "--out", str(out)]) == 0
+        score = out / "checkpoints" / "scores" / "rep0" / "nr_loss__prune70.json"
+        score.write_text(json.dumps(edit(json.loads(score.read_text()))), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", "report"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {score}: malformed score file")
 
     def test_model_missing_a_field_exit_two(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.ini"

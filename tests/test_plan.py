@@ -152,8 +152,6 @@ max_epochs = 7
 hidden = 32,16,8
 dropout = 0.25
 l2_lambda = 0.001
-early_stop_patience = 3
-momentum = 0.9
 
 [dp]
 clip_norm = 2.0
@@ -196,7 +194,7 @@ class TestSectionReader:
         expected = {
             "dataset": DatasetSpec("csv", 300, 7, 4, 0.5, 9, "rows.csv", 0, True),
             "split": data.SplitSizes(30, 31, 32, 33),
-            "train": TrainSpec(0.05, 16, 7, [32, 16, 8], 0.25, 0.001, 3, 0.9),
+            "train": TrainSpec(0.05, 16, 7, [32, 16, 8], 0.25, 0.001),
             "dp": nn.DpConfig(2.0, 1.5, 1e-6),
             "compression": CompressionSpec([0.5, 0.75], [16, 4], True, "calibrate", 3, 0.02, 0.5),
             "attacks": AttackSpec(

@@ -40,10 +40,13 @@ median of all of them. The layers are
   cell's metrics on those values: balanced accuracy, AUC, and the TPR at
   FPR caps 0.01 and 0.001.
 
-Each sample records wall time (``samples``, ``median``) and the process's
-CPU time (``cpu_samples``, ``cpu_median``); CPU time leaves out the time
-the process waited for a core. ``parent_over_change`` holds the ratios of
-wall medians and ``parent_over_change_cpu`` those of CPU medians.
+Each sample records wall time (``samples``) and the process's CPU time
+(``cpu_samples``); CPU time leaves out the time the process waited for a
+core. Each side's layer figure holds the median and the quartiles of its
+samples (``median``, ``q1``, ``q3``; ``cpu_median``, ``cpu_q1``,
+``cpu_q3``), so a ratio can be read against that side's spread.
+``parent_over_change`` holds the ratios of wall medians and
+``parent_over_change_cpu`` those of CPU medians.
 
 The environment record is taken after ``import compaudit``, which sets the
 BLAS thread variables, so it names the thread count the layers ran with.
@@ -212,8 +215,9 @@ def main(argv=None) -> int:
                 fig = sides[name]["layers"].setdefault(layer, {"samples": []})
                 fig["samples"] += wall
                 fig["cpu_samples"] = fig.get("cpu_samples", []) + cpu
-                fig["median"] = statistics.median(fig["samples"])
-                fig["cpu_median"] = statistics.median(fig["cpu_samples"])
+                for prefix, values in (("", fig["samples"]), ("cpu_", fig["cpu_samples"])):
+                    fig[f"{prefix}median"] = statistics.median(values)
+                    fig[f"{prefix}q1"], _, fig[f"{prefix}q3"] = statistics.quantiles(values, n=4)
                 print(f"{name} {layer}: {fig['median']:.4f} s wall, {fig['cpu_median']:.4f} s "
                       f"CPU over {len(fig['samples'])}", file=sys.stderr)
     if "parent" in sides and "change" in sides:
