@@ -6,19 +6,32 @@ which round-trips exactly, so a reloaded checkpoint is bit-identical to
 the saved object and repeated saves of the same object produce identical
 bytes.
 
-Model layout (version 1)::
+Model layout (version 2)::
 
-    {"format": "compaudit-checkpoint", "version": 1, "kind": "fcn",
+    {"format": "compaudit-checkpoint", "version": 2, "kind": "fcn",
      "layer_sizes": [...], "weights": [[[...]]], "biases": [[...]],
      "dropout_rates": [...],
      "constraint": null | {"kind": ..., family-specific fields},
      "family": null | str, "degree_tag": null | float}
 
 The constraint's ``kind`` picks its class from ``constraints.KINDS``, and
-the class reads its own fields and names its ``family``; a stored family
-that is not the class's is rejected.
+the class reads its own fields, given the weight shapes, and names its
+``family``; a stored family that is not the class's is rejected. Two
+fields hold one base64 text per weight matrix instead of a list:
 
-Classifier layout: {"format": ..., "version": 1, "kind": "lr"|"rf"|"mlp",
+- ``prune_mask``'s ``masks``: ``np.packbits`` of the row-major keep-mask,
+  1 for a kept weight, the last byte's pad bits zero;
+- ``cluster_assignment``'s ``assignments``: the row-major centroid index
+  of each weight as little-endian unsigned integers of the narrowest width
+  that holds the layer's centroid count (one byte up to 256 centroids).
+
+A text that is not canonical base64, decodes to a byte count that does not
+fit its matrix, has non-zero pad bits, or names a centroid the layer does
+not have is rejected. Centroids, int8 scales, weights and biases stay
+lists. Version 1 stored masks and assignments as lists; its files are
+rejected.
+
+Classifier layout: {"format": ..., "version": 2, "kind": "lr"|"rf"|"mlp",
 parameter fields}. A forest stores "n_features" and "trees", one object
 per tree holding the five flat node arrays of ``meta.Tree``::
 
@@ -29,11 +42,10 @@ A forest's bags are not stored, so a loaded forest scores rows but gives
 no out-of-bag scores.
 
 Every file is written atomically by ``write_json``. A compressed model's
-arrays hold few distinct values: at most 255 weights on the int8 grid, one
-per centroid when clustered, many zeros when pruned, and small integers in
-masks and assignments. ``save_model`` therefore has ``write_json`` format
-each distinct value of them once; the bytes are the same as the plain
-encoder's.
+weights hold few distinct values: at most 255 on the int8 grid, one per
+centroid when clustered, and many zeros when pruned. ``save_model``
+therefore has ``write_json`` format each distinct value once; the bytes
+are the same as the plain encoder's.
 """
 
 import json
@@ -49,7 +61,7 @@ from .meta import TREE_DTYPES, LogisticMeta, MlpMeta, RandomForestMeta, Tree
 from .nn import FcnModel
 
 FORMAT = "compaudit-checkpoint"
-VERSION = 1
+VERSION = 2
 
 
 def write_json(payload, path, few_values: bool = False):
@@ -148,7 +160,8 @@ def _load(path) -> dict:
     if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise CheckpointError(f"{path}: not a checkpoint file")
     if payload.get("version") != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {payload.get('version')}")
+        raise CheckpointError(f"{path}: unsupported version {payload.get('version')!r} "
+                              f"(this release reads version {VERSION})")
     return payload
 
 
@@ -199,7 +212,7 @@ def load_model(path) -> FcnModel | CompressedModel:
         c = d.get("constraint")
         if c is None:
             return model
-        constraint = KINDS[c["kind"]].from_fields(c)
+        constraint = KINDS[c["kind"]].from_fields(c, [w.shape for w in model.weights])
         if d["family"] != constraint.family:
             raise ValueError(f"family {d['family']!r} with constraint kind {constraint.kind!r}")
         compressed = CompressedModel(model, constraint, float(d["degree_tag"]))

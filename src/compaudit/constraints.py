@@ -11,6 +11,8 @@ off its constrained manifold.
 Biases are never constrained.
 """
 
+import base64
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +45,35 @@ def fake_quantize(w: np.ndarray, scale: float | None = None) -> tuple[np.ndarray
     return q * s + 0.0, s
 
 
+def _b64(a: np.ndarray) -> str:
+    """Base64 text of an array's bytes."""
+    return base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def _b64_bytes(text, nbytes: int, name: str) -> bytes:
+    """The bytes of canonical base64 ``text``, which must number ``nbytes``.
+
+    Raises ValueError when ``text`` is not base64 as ``_b64`` writes it
+    (padded, no whitespace, zero trailing bits) or holds another count.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"{name} is not base64 text")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or text that is not ASCII
+        raise ValueError(f"{name} is not base64 text") from None
+    if base64.b64encode(raw).decode("ascii") != text:
+        raise ValueError(f"{name} is not canonical base64")
+    if len(raw) != nbytes:
+        raise ValueError(f"{name} holds {len(raw)} bytes, its layer needs {nbytes}")
+    return raw
+
+
+def _assignment_dtype(n_centroids: int) -> np.dtype:
+    """The narrowest little-endian unsigned integer that holds ``n_centroids - 1``."""
+    return np.dtype(np.min_scalar_type(max(n_centroids - 1, 0))).newbyteorder("<")
+
+
 @dataclass
 class Unconstrained:
     """The parameterization of a plain model, and the base of the three families.
@@ -52,7 +83,9 @@ class Unconstrained:
     in a model's order key. ``check`` tests weights exactly, with no
     tolerance; ``fields`` gives the checkpoint fields as JSON values or
     numpy arrays, as ``checkpoint.write_json`` takes them, and
-    ``from_fields`` reads them back. Training runs on the family's
+    ``from_fields(d, shapes)`` reads them back, given the shapes of the
+    weight matrices they constrain, and raises ValueError or TypeError on a
+    field that does not fit them. Training runs on the family's
     parameters: ``parameters`` makes them from the model's weights,
     ``weights`` maps them back to weight matrices for each forward pass,
     ``gradients`` maps weight gradients onto them, and ``project`` restores
@@ -96,11 +129,20 @@ class Pruned(Unconstrained):
                    for w, mask in zip(weights, self.prune_masks, strict=True))
 
     def fields(self):
-        return {"masks": [m.astype(np.uint8) for m in self.prune_masks]}
+        """Each mask as base64 of ``np.packbits`` over its row-major bits."""
+        return {"masks": [_b64(np.packbits(m)) for m in self.prune_masks]}
 
     @classmethod
-    def from_fields(cls, d):
-        return cls([np.asarray(m, dtype=bool) for m in d["masks"]])
+    def from_fields(cls, d, shapes):
+        masks = []
+        for i, (text, shape) in enumerate(zip(d["masks"], shapes, strict=True)):
+            n = math.prod(shape)
+            # unpackbits(count=n) would zero-pad short input, so the length is checked first
+            bits = np.unpackbits(np.frombuffer(_b64_bytes(text, -(-n // 8), f"mask {i}"), np.uint8))
+            if bits[n:].any():
+                raise ValueError(f"mask {i} has non-zero pad bits")
+            masks.append(bits[:n].astype(bool).reshape(shape))
+        return cls(masks)
 
     def project(self, params):
         for w, m in zip(params, self.prune_masks):
@@ -128,12 +170,25 @@ class Clustered(Unconstrained):
                        weights, self.cluster_assignments, self.cluster_centroids, strict=True))
 
     def fields(self):
-        return {"assignments": self.cluster_assignments, "centroids": self.cluster_centroids}
+        """Each layer's assignments as base64 of its narrowest little-endian unsigned ints."""
+        return {"assignments": [_b64(a.astype(_assignment_dtype(c.shape[0])))
+                                for a, c in zip(self.cluster_assignments, self.cluster_centroids)],
+                "centroids": self.cluster_centroids}
 
     @classmethod
-    def from_fields(cls, d):
-        return cls([np.asarray(a, dtype=np.int64) for a in d["assignments"]],
-                   [np.asarray(c, dtype=float) for c in d["centroids"]])
+    def from_fields(cls, d, shapes):
+        centroids = [np.asarray(c, dtype=float) for c in d["centroids"]]
+        assignments = []
+        for i, (text, cent, shape) in enumerate(
+                zip(d["assignments"], centroids, shapes, strict=True)):
+            dtype, n = _assignment_dtype(cent.shape[0]), math.prod(shape)
+            raw = _b64_bytes(text, n * dtype.itemsize, f"assignments {i}")
+            assign = np.frombuffer(raw, dtype).astype(np.int64)
+            if n and assign.max() >= cent.shape[0]:
+                raise ValueError(f"assignments {i} name centroid {assign.max()} "
+                                 f"of {cent.shape[0]}")
+            assignments.append(assign)
+        return cls(assignments, centroids)
 
     def refreshed(self, weights):
         """Centroid values re-read from clustered weights after training.
@@ -187,7 +242,7 @@ class Quantized(Unconstrained):
         return {"scales": [float(s) for s in self.quant_scales]}
 
     @classmethod
-    def from_fields(cls, d):
+    def from_fields(cls, d, shapes):
         return cls([float(s) for s in d["scales"]])
 
     def refreshed(self, weights):

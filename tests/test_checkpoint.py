@@ -1,6 +1,9 @@
 """Checkpoint round-trip and byte-stability tests."""
 
+import base64
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +22,28 @@ COMPRESSIONS = {
     "fake_quant": lambda m: compress.quantize_int8(m),
     "cluster_assignment": lambda m: compress.cluster_weights(m, 4, seed=0),
 }
+
+
+def packed(a: np.ndarray) -> str:
+    return base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def stored_mask(d: dict, layer: int) -> np.ndarray:
+    """A saved model's keep-mask of ``layer`` as 0/1, decoded from its JSON with numpy alone."""
+    shape = np.shape(d["weights"][layer])
+    bits = np.unpackbits(np.frombuffer(base64.b64decode(d["constraint"]["masks"][layer]), np.uint8))
+    return bits[: math.prod(shape)].reshape(shape)
+
+
+def stored_assignments(d: dict, layer: int) -> np.ndarray:
+    """A saved model's one-byte assignments of ``layer`` (at most 256 centroids), writable."""
+    return np.frombuffer(base64.b64decode(d["constraint"]["assignments"][layer]), "<u1").copy()
+
+
+def set_assignment(d: dict, layer: int, index: int, value: int):
+    a = stored_assignments(d, layer)
+    a[index] = value
+    d["constraint"]["assignments"][layer] = packed(a)
 
 
 class TestModelCheckpoints:
@@ -96,10 +121,11 @@ class TestModelCheckpoints:
 
     @pytest.mark.parametrize("kind, edit", [
         ("prune_mask", lambda d: d["weights"][0][0].__setitem__(
-            d["constraint"]["masks"][0][0].index(0), 1.0)),
+            stored_mask(d, 0)[0].tolist().index(0), 1.0)),
         ("fake_quant", lambda d: d["weights"][0][0].__setitem__(0, d["weights"][0][0][0] * 1.1)),
         ("cluster_assignment", lambda d: d["weights"][0][0].__setitem__(0, 1e3)),
-        ("cluster_assignment", lambda d: d["constraint"]["assignments"][0].__setitem__(0, -1000)),
+        ("cluster_assignment", lambda d: set_assignment(
+            d, 0, 0, len(d["constraint"]["centroids"][0]))),
     ], ids=["masked_weight", "off_grid", "off_centroid", "assignment_out_of_range"])
     def test_weights_that_break_the_constraint_are_checkpoint_error(self, tmp_path, kind, edit):
         p = tmp_path / "cm.json"
@@ -116,7 +142,7 @@ class TestModelCheckpoints:
          lambda d: d["weights"][1][2].__setitem__(5, float("nan"))),
         (lambda: compress.prune_l1(sample_model(), 0.5),
          lambda d: d["weights"][0][0].__setitem__(
-             d["constraint"]["masks"][0][0].index(1), float("inf"))),
+             stored_mask(d, 0)[0].tolist().index(1), float("inf"))),
         (lambda: sample_model(), lambda d: d["biases"][0].__setitem__(0, float("-inf"))),
     ], ids=["nan_weight", "inf_kept_pruned_weight", "inf_bias"])
     def test_non_finite_parameters_are_checkpoint_error(self, tmp_path, make, edit):
@@ -129,6 +155,179 @@ class TestModelCheckpoints:
         with pytest.raises(CheckpointError, match="non-finite") as err:
             checkpoint.load_model(p)
         assert str(p) in str(err.value)
+
+
+def signed_zero_pruned():
+    """A pruned model whose kept weights include +0.0 and -0.0; no layer size is a multiple of 8."""
+    model = nn.init_fcn([5, 7, 3], seed=2)
+    masks = [np.random.default_rng(3).random(w.shape) < 0.6 for w in model.weights]
+    masks[0][0, :3] = True
+    model.weights[0][0, :3] = [-0.0, 0.0, -0.0]
+    for w, m in zip(model.weights, masks):
+        w[~m] = 0.0
+    return compress.CompressedModel(model, constraints.Pruned(masks), 40.0)
+
+
+def clustered(layer_sizes, counts, seed, equal=False):
+    """A clustered model with ``counts[l]`` centroids in layer l; with ``equal`` two are equal."""
+    model = nn.init_fcn(layer_sizes, seed=seed)
+    rng = np.random.default_rng(seed)
+    assignments, centroids = [], []
+    for w, k in zip(model.weights, counts):
+        cent = rng.normal(size=k)
+        if equal:
+            cent[1] = cent[0]
+        assign = rng.permutation(np.arange(w.size) % k)  # every centroid has members
+        w[...] = cent[assign].reshape(w.shape)
+        assignments.append(assign)
+        centroids.append(cent)
+    return compress.CompressedModel(model, constraints.Clustered(assignments, centroids),
+                                    100.0 / counts[0])
+
+
+# every family, and the cases its packed encoding must keep apart
+ROUND_TRIPS = {
+    "plain": lambda: nn.init_fcn([5, 7, 3], seed=1),
+    "prune_signed_zeros": signed_zero_pruned,
+    "prune_l1": lambda: compress.prune_l1(nn.init_fcn([5, 7, 3], seed=1), 0.7),
+    "cluster_equal_centroids": lambda: clustered([5, 7, 3], [4, 3], seed=4, equal=True),
+    "cluster_300_centroids": lambda: clustered([20, 30, 3], [300, 2], seed=5),
+    "cluster_kmeans": lambda: compress.cluster_weights(nn.init_fcn([5, 7, 3], seed=1), 8, seed=0),
+    "int8": lambda: compress.quantize_int8(nn.init_fcn([5, 7, 3], seed=1)),
+}
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bits; 64-bit values are compared as uint64, so -0.0 != 0.0."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype.itemsize == 8:
+        a, b = a.view(np.uint64), b.view(np.uint64)
+    return np.array_equal(a, b)
+
+
+class TestPackedRoundTrip:
+    """Every family saves and loads bit for bit, and saves the same bytes each time."""
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+    def test_round_trip_is_bit_for_bit(self, tmp_path, name):
+        saved = ROUND_TRIPS[name]()
+        p, again = tmp_path / "m.json", tmp_path / "again.json"
+        checkpoint.save_model(p, saved)
+        loaded = checkpoint.load_model(p)
+        assert type(loaded) is type(saved)
+        if isinstance(saved, compress.CompressedModel):
+            assert type(loaded.constraint) is type(saved.constraint)
+            assert loaded.degree_tag == saved.degree_tag
+            for field in dataclasses.fields(saved.constraint):
+                if field.compare:  # a checkpoint does not keep what equality ignores
+                    pairs = zip(getattr(loaded.constraint, field.name),
+                                getattr(saved.constraint, field.name), strict=True)
+                    assert all(same_bits(np.asarray(a), np.asarray(b)) for a, b in pairs)
+            loaded, saved_model = loaded.model, saved.model
+        else:
+            saved_model = saved
+        for a, b in zip(loaded.weights + loaded.biases, saved_model.weights + saved_model.biases,
+                        strict=True):
+            assert same_bits(a, b)
+        checkpoint.save_model(again, saved)
+        assert again.read_bytes() == p.read_bytes()
+        checkpoint.save_model(again, checkpoint.load_model(p))
+        assert again.read_bytes() == p.read_bytes()
+
+    def test_mask_is_packbits_of_the_row_major_keep_bits(self, tmp_path):
+        saved = signed_zero_pruned()
+        # kept zeros, so a mask read off the weights would differ from the stored one
+        assert np.sum(saved.constraint.prune_masks[0] & (saved.model.weights[0] == 0.0)) == 3
+        p = tmp_path / "m.json"
+        checkpoint.save_model(p, saved)
+        d = json.loads(p.read_text(encoding="utf-8"))
+        for layer, mask in enumerate(saved.constraint.prune_masks):
+            assert np.array_equal(stored_mask(d, layer), mask)
+
+    def test_assignment_width_follows_the_centroid_count(self, tmp_path):
+        p = tmp_path / "m.json"
+        checkpoint.save_model(p, clustered([20, 30, 3], [300, 2], seed=5))
+        texts = json.loads(p.read_text(encoding="utf-8"))["constraint"]["assignments"]
+        assert [len(base64.b64decode(t)) for t in texts] == [2 * 600, 90]
+
+
+def last_char_bumped(text: str) -> str:
+    """``text`` with a trailing bit set in its last base64 digit before the padding."""
+    body = text.rstrip("=")
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    assert len(body) < len(text)  # padded, so the last digit carries trailing bits
+    return body[:-1] + alphabet[alphabet.index(body[-1]) + 1] + text[len(body):]
+
+
+def set_field(d: dict, field: str, layer: int, change):
+    """Replace a packed field's bytes of ``layer`` by ``change(bytes)``, base64 encoded."""
+    raw = base64.b64decode(d["constraint"][field][layer])
+    d["constraint"][field][layer] = base64.b64encode(change(raw)).decode("ascii")
+
+
+# a malformed packed field, by name: the family saved, the edit, and the reason given
+PACKED_EDITS = {
+    "mask_not_base64": ("prune", lambda d: d["constraint"]["masks"].__setitem__(0, "not base64!"),
+                        "mask 0 is not base64 text"),
+    "mask_not_canonical": ("prune", lambda d: d["constraint"]["masks"].__setitem__(
+        0, last_char_bumped(d["constraint"]["masks"][0])), "mask 0 is not canonical base64"),
+    "mask_as_list": ("prune", lambda d: d["constraint"]["masks"].__setitem__(
+        0, stored_mask(d, 0).tolist()), "mask 0 is not base64 text"),
+    "mask_short": ("prune", lambda d: set_field(d, "masks", 0, lambda raw: raw[:-1]),
+                   "mask 0 holds 4 bytes, its layer needs 5"),
+    "mask_long": ("prune", lambda d: set_field(d, "masks", 0, lambda raw: raw + b"\0"),
+                  "mask 0 holds 6 bytes, its layer needs 5"),
+    "mask_pad_bits": ("prune", lambda d: set_field(
+        d, "masks", 1, lambda raw: raw[:-1] + bytes([raw[-1] | 1])),
+        "mask 1 has non-zero pad bits"),
+    "assignments_not_base64": ("cluster", lambda d: d["constraint"]["assignments"].__setitem__(
+        1, "@@@@"), "assignments 1 is not base64 text"),
+    "assignments_wide": ("cluster", lambda d: set_field(
+        d, "assignments", 0, lambda raw: np.frombuffer(raw, "<u1").astype("<u2").tobytes()),
+        "assignments 0 holds 70 bytes, its layer needs 35"),
+    "assignments_short": ("cluster", lambda d: set_field(d, "assignments", 1, lambda raw: raw[1:]),
+                          "assignments 1 holds 20 bytes, its layer needs 21"),
+    "assignment_past_the_centroids": ("cluster", lambda d: set_assignment(d, 1, 5, 255),
+                                      "assignments 1 name centroid 255 of 4"),
+}
+
+
+class TestMalformedPackedFields:
+    @pytest.mark.parametrize("name", sorted(PACKED_EDITS))
+    def test_malformed_packed_field_is_checkpoint_error(self, tmp_path, name):
+        family, edit, reason = PACKED_EDITS[name]
+        # 35 and 21 weights: neither matrix fills whole bytes of mask bits
+        model = nn.init_fcn([5, 7, 3], seed=1)
+        saved = (compress.prune_l1(model, 0.5) if family == "prune"
+                 else compress.cluster_weights(model, 4, seed=0))
+        p = tmp_path / "m.json"
+        checkpoint.save_model(p, saved)
+        d = json.loads(p.read_text(encoding="utf-8"))
+        edit(d)
+        p.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="malformed model") as err:
+            checkpoint.load_model(p)
+        assert str(p) in str(err.value) and reason in str(err.value)
+
+
+class TestLayoutContract:
+    """Readers with plain ``json`` still find the parameters as nested lists."""
+
+    @pytest.mark.parametrize("kind", ["cluster8", "int8", "prune70"])
+    def test_weights_and_biases_are_nested_number_lists(self, tmp_path, kind):
+        p = tmp_path / "m.json"
+        checkpoint.save_model(p, SAVED_MODELS[kind](nn.init_fcn([5, 7, 3], seed=1)))
+        with open(p, encoding="utf-8") as fh:
+            d = json.load(fh)
+        assert d["version"] == 2
+        sizes = d["layer_sizes"]
+        for l, (w, b) in enumerate(zip(d["weights"], d["biases"], strict=True)):
+            assert isinstance(w, list) and len(w) == sizes[l + 1]
+            assert all(isinstance(row, list) and len(row) == sizes[l] for row in w)
+            assert all(type(x) is float for row in w for x in row)
+            assert isinstance(b, list) and len(b) == sizes[l + 1]
+            assert all(type(x) is float for x in b)
 
 
 class TestClassifierCheckpoints:

@@ -18,6 +18,7 @@ import compaudit
 from compaudit import cli, pipeline
 from compaudit.errors import CompauditError, DependencyError
 from compaudit.plan import parse_plan_text
+from tests.test_checkpoint import PACKED_EDITS, stored_mask
 from tests.test_plan import GOOD
 
 MINIMAL = """
@@ -744,9 +745,7 @@ class TestCli:
         model = out / "checkpoints" / "models" / "rep0" / "prune70_victim.json"
         d = json.loads(model.read_text())
         if edit == "masked_weight":
-            masks = d["constraint"]["masks"]
-            i, j = next((i, j) for i, row in enumerate(masks[0]) for j, keep in enumerate(row)
-                        if not keep)
+            i, j = np.argwhere(stored_mask(d, 0) == 0)[0]
             assert d["weights"][0][i][j] == 0.0
             d["weights"][0][i][j] = 1.0
         else:
@@ -757,6 +756,47 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and message in err[0] and "prune70_victim.json" in err[0]
+
+    @pytest.mark.parametrize("name", sorted(PACKED_EDITS))
+    def test_malformed_packed_field_exit_two(self, tmp_path, capsys, name):
+        family, edit, reason = PACKED_EDITS[name]
+        # layers of 35 and 21 weights, as in the edits' own test
+        text = (MINIMAL.replace("classes = 2", "classes = 3").replace("hidden = 8", "hidden = 7")
+                .replace("prune = 0.7", "prune = 0.7\nclusters = 4"))
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        for stage in ("train", "compress"):
+            assert cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", stage]) == 0
+        target = {"prune": "prune70", "cluster": "cluster4"}[family]
+        model = out / "checkpoints" / "models" / "rep0" / f"{target}_victim.json"
+        d = json.loads(model.read_text())
+        edit(d)
+        model.write_text(json.dumps(d), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", "evaluate"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {model}: malformed model")
+        assert reason in err[0]
+
+    def test_version_one_run_directory_exit_two(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(MINIMAL, encoding="utf-8")
+        out = tmp_path / "out"
+        for stage in ("train", "compress"):
+            assert cli.main(["--plan", str(plan_path), "--out", str(out), "--stage", stage]) == 0
+        models = sorted((out / "checkpoints" / "models" / "rep0").glob("*.json"))
+        for model in models:  # the layout of version 1: masks as nested 0/1 lists
+            d = json.loads(model.read_text())
+            if d["constraint"] is not None:
+                d["constraint"]["masks"] = [stored_mask(d, l).tolist()
+                                            for l in range(len(d["weights"]))]
+            model.write_text(json.dumps({**d, "version": 1}), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["--plan", str(plan_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert any(err[0].startswith(f"error: {m}: unsupported version 1") for m in models)
 
     @pytest.mark.parametrize("damaged", [
         "checkpoints/scores/rep0/nr_loss__prune70.json",

@@ -25,7 +25,7 @@ median of all of them. The layers are
 - ``kmeans_1d`` on 32,768 values with k = 8;
 - a forward pass of a 64-256-128-10 model on 300 rows;
 - checkpoint save and load of a 64-256-128-10 model and of its 8-cluster
-  version, and the save of its int8 and 70 %-pruned versions;
+  and 70 %-pruned versions, and the save of its int8 version;
 - one training epoch of that model on 300 rows in batches of 32: plain
   SGD, DP-SGD (clip 1, noise multiplier 0.5), and a constrained fine-tune
   of each compression family (70 % pruned, int8 quantization-aware
@@ -46,7 +46,9 @@ core. Each side's layer figure holds the median and the quartiles of its
 samples (``median``, ``q1``, ``q3``; ``cpu_median``, ``cpu_q1``,
 ``cpu_q3``), so a ratio can be read against that side's spread.
 ``parent_over_change`` holds the ratios of wall medians and
-``parent_over_change_cpu`` those of CPU medians.
+``parent_over_change_cpu`` those of CPU medians. Each side also records
+``checkpoint_bytes``: the size of its saved checkpoint of the plain,
+``prune70``, ``int8`` and ``cluster8`` model.
 
 The environment record is taken after ``import compaudit``, which sets the
 BLAS thread variables, so it names the thread count the layers ran with.
@@ -143,21 +145,23 @@ def layers(tmp: Path, package) -> dict:
     calibration = np.random.default_rng(16)
     member, nonmember = calibration.normal(size=300), calibration.normal(0.3, 1.0, size=300)
     cell = metrics.AttackScoreSet(member, nonmember, decision_threshold=0.15)
-    paths = {name: tmp / f"{name}.json" for name in ("model", "cluster", "int8", "prune70")}
-    checkpoint.save_model(paths["model"], model)
-    checkpoint.save_model(paths["cluster"], clustered)
+    saved = {"plain": model, "cluster8": clustered, "int8": int8, "prune70": pruned}
+    paths = {name: tmp / f"{name}.json" for name in saved}
+    for name, m in saved.items():
+        checkpoint.save_model(paths[name], m)
     return {
         "mlp_fit_adv1_s": lambda: meta.fit("mlp", X1, y1, attacks.MR_MLP_DEFAULTS[attacks.ADV1], 7),
         "mlp_fit_adv2_s": lambda: meta.fit("mlp", X2, y2, attacks.MR_MLP_DEFAULTS[attacks.ADV2], 8),
         "lr_fit_s": lambda: meta.fit("lr", X3, y3, seed=9),
         "kmeans_1d_s": lambda: compress.kmeans_1d(weights, 8, seed=10),
         "forward_s": lambda: nn.forward(model, xy[0]),
-        "save_model_s": lambda: checkpoint.save_model(paths["model"], model),
-        "load_model_s": lambda: checkpoint.load_model(paths["model"]),
-        "save_cluster_s": lambda: checkpoint.save_model(paths["cluster"], clustered),
-        "load_cluster_s": lambda: checkpoint.load_model(paths["cluster"]),
+        "save_model_s": lambda: checkpoint.save_model(paths["plain"], model),
+        "load_model_s": lambda: checkpoint.load_model(paths["plain"]),
+        "save_cluster_s": lambda: checkpoint.save_model(paths["cluster8"], clustered),
+        "load_cluster_s": lambda: checkpoint.load_model(paths["cluster8"]),
         "save_int8_s": lambda: checkpoint.save_model(paths["int8"], int8),
         "save_prune70_s": lambda: checkpoint.save_model(paths["prune70"], pruned),
+        "load_prune70_s": lambda: checkpoint.load_model(paths["prune70"]),
         "sgd_epoch_s": lambda: nn.train(model, xy, None, epoch),
         "dpsgd_epoch_s": lambda: nn.train_dpsgd(model, xy, epoch, dp),
         "finetune_prune70_s": lambda: compress.finetune_compressed(pruned, xy, None, epoch),
@@ -220,6 +224,9 @@ def main(argv=None) -> int:
                     fig[f"{prefix}q1"], _, fig[f"{prefix}q3"] = statistics.quantiles(values, n=4)
                 print(f"{name} {layer}: {fig['median']:.4f} s wall, {fig['cpu_median']:.4f} s "
                       f"CPU over {len(fig['samples'])}", file=sys.stderr)
+        for name in packages:
+            sides[name]["checkpoint_bytes"] = {
+                p.stem: p.stat().st_size for p in sorted((Path(tmp) / name).glob("*.json"))}
     if "parent" in sides and "change" in sides:
         parent, change = sides["parent"]["layers"], sides["change"]["layers"]
         for key, figure in (("parent_over_change", "median"),
