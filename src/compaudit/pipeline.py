@@ -1,16 +1,9 @@
 """Experiment orchestration over checkpointed stages.
 
-Five stages consume and produce files under the output directory, so a
-run can resume from whatever already exists and any stage can be rerun
-in isolation:
-
-    train     -> checkpoints/models/rep<r>/original_{victim,shadow}.json
-    compress  -> checkpoints/models/rep<r>/<target>_{victim,shadow}.json
-    attack    -> checkpoints/scores/rep<r>/<attack>__<target>.json,
-                 checkpoints/scores/failures_rep<r>.json (the step's failed cells)
-    evaluate  -> checkpoints/metrics/models_rep<r>.json (model accuracies)
-    report    -> report/report.json, report/summary.csv, report/report.txt,
-                 report/roc/rep<r>__<cell>.csv
+Five stages (``STAGES``) read and write files under the output directory,
+so a run can resume from whatever already exists and any stage can be
+rerun in isolation. ``LAYOUT`` names every such file: its path and the
+stage that writes it.
 
 A full run (``run_plan``) makes each repetition one task that trains,
 compresses, attacks and evaluates back to back on a ``_Rep``: the
@@ -23,16 +16,17 @@ stored anywhere else to go stale.
 
 Every number is a pure function of the plan text and the seed base: cell
 seeds are derived by hashing (seed_base, repetition, role), stages skip
-work whose output file already exists (a score or accuracy file that does
-not parse is computed again), and all serialization is byte-stable, so
-rerunning an identical plan reproduces identical reports.
-One attack cell failing is recorded in the report and never aborts the
-run.
+work whose output file already exists (a score file that does not parse,
+or an accuracy table that the report would reject, is computed again),
+and all serialization is byte-stable, so rerunning an identical plan
+reproduces identical reports. One failing attack cell is recorded in the
+report and never aborts the run.
 """
 
 import csv
 import functools
 import hashlib
+import math
 import shutil
 from pathlib import Path
 
@@ -45,6 +39,19 @@ from .plan import ExperimentPlan
 SCHEMA_VERSION = 1
 STAGES = ("train", "compress", "attack", "evaluate", "report")
 ROLES = ("victim", "shadow")
+# each kind of file: the stage that writes it and its path under the output
+# directory; a model file is named by its target key, ``original`` when trained
+LAYOUT = {
+    "original": ("train", "checkpoints/models/rep{rep}/{target}_{role}.json"),
+    "compressed": ("compress", "checkpoints/models/rep{rep}/{target}_{role}.json"),
+    "scores": ("attack", "checkpoints/scores/rep{rep}/{cell}.json"),
+    "failures": ("attack", "checkpoints/scores/failures_rep{rep}.json"),
+    "accuracies": ("evaluate", "checkpoints/metrics/models_rep{rep}.json"),
+    "report": ("report", "report/report.json"),
+    "summary": ("report", "report/summary.csv"),
+    "text": ("report", "report/report.txt"),
+    "roc": ("report", "report/roc/rep{rep}__{cell}.csv"),
+}
 # what each stage writes, as glob patterns under the output directory
 STAGE_OUTPUTS = {
     "train": ["checkpoints/models"],
@@ -141,17 +148,20 @@ def build_split(plan: ExperimentPlan, dataset: data.TabularDataset, rep: int) ->
     return data.make_split(dataset, plan.split, seed=derive_seed(plan.seed_base, rep, "split"))
 
 
-def _model_dir(out: Path, rep: int) -> Path:
-    return out / "checkpoints" / "models" / f"rep{rep}"
+def _path(out, kind: str, need: bool = False, **names) -> Path:
+    """The ``kind`` file that ``names`` fill in; one a step ``need``s must exist."""
+    stage, pattern = LAYOUT[kind]
+    path = Path(out) / pattern.format(**names)
+    if need and not path.exists():
+        raise DependencyError(f"missing the {stage} stage output {path}")
+    return path
 
 
 def _intact(path: Path) -> bool:
     """Whether a stage output exists and parses; a damaged one is computed again."""
-    if not path.exists():
-        return False
     try:
         checkpoint.read_json(path)
-    except CheckpointError:
+    except (FileNotFoundError, CheckpointError):
         return False
     return True
 
@@ -176,17 +186,21 @@ class _Rep:
     def split(self) -> data.SplitPlan:
         return build_split(self.plan, self.dataset, self.rep)
 
-    def path(self, name: str) -> Path:
-        return _model_dir(self.out, self.rep) / f"{name}.json"
+    def path(self, name: str, need: bool = False) -> Path:
+        target, role = name.rsplit("_", 1)
+        kind = "original" if target == "original" else "compressed"
+        return _path(self.out, kind, need=need, rep=self.rep, target=target, role=role)
 
     def model(self, name: str):
-        """The model ``name``, loaded on first use."""
+        """The model ``name``, loaded on first use; a file of another family is rejected."""
         if name not in self.models:
-            path = self.path(name)
-            if not path.exists():
-                stage = "train" if name.startswith("original_") else "compress"
-                raise DependencyError(f"missing the {stage} stage output {path}")
-            self.models[name] = checkpoint.load_model(path)
+            path, target = self.path(name, need=True), name.rsplit("_", 1)[0]
+            model = checkpoint.load_model(path)
+            want = {k: f for k, f, _ in self.plan.compression.targets()}.get(target, "plain")
+            got = model.family if isinstance(model, compress.CompressedModel) else "plain"
+            if got != want:
+                raise CheckpointError(f"{path}: holds a {got} model, not a {want} one")
+            self.models[name] = model
         return self.models[name]
 
     def save(self, name: str, model):
@@ -198,7 +212,7 @@ class _Rep:
 # stage: train
 
 
-def _train(r: _Rep):
+def stage_train(r: _Rep):
     plan = r.plan
     for role in ROLES:
         if r.path(f"original_{role}").exists():
@@ -216,21 +230,15 @@ def _train(r: _Rep):
         r.save(f"original_{role}", trained)
 
 
-def stage_train(plan: ExperimentPlan, out: Path, workers: int = 1):
-    _run_per_rep((_train,), plan, out, workers)
-
-
 # ---------------------------------------------------------------------------
 # stage: compress
 
 
-def _compress(r: _Rep):
+def stage_compress(r: _Rep):
     plan, spec = r.plan, r.plan.compression
     ft_epochs = spec.finetune_epochs
     for role in ROLES:
-        if not r.path(f"original_{role}").exists():
-            raise DependencyError(f"compress needs the train stage output "
-                                  f"{r.path(f'original_{role}')}")
+        r.path(f"original_{role}", need=True)
         missing = [target for target in spec.targets()
                    if not r.path(f"{target[0]}_{role}").exists()]
         if not missing:
@@ -255,10 +263,6 @@ def _compress(r: _Rep):
                 cfg = plan.train.config(seed, epochs=ft_epochs, lr=spec.finetune_learning_rate)
                 cm = compress.finetune_compressed(cm, train_xy, None, cfg, dp=plan.dp)
             r.save(f"{key}_{role}", cm)
-
-
-def stage_compress(plan: ExperimentPlan, out: Path, workers: int = 1):
-    _run_per_rep((_compress,), plan, out, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +328,16 @@ def _run_attack_cell(plan, dataset, split, pair, rep, attack_key, target_key):
     return scores
 
 
-def _failures_path(out: Path, rep: int) -> Path:
-    return out / "checkpoints" / "scores" / f"failures_rep{rep}.json"
-
-
-def _attack(r: _Rep):
+def stage_attack(r: _Rep):
     """Score the cells without an intact score file, and list the cells that fail."""
     failures = []
 
     def pair(key):  # attacks only run forward passes, so every cell reads the one stored copy
         return tuple(r.model(f"{key}_{role}") for role in ROLES)
 
-    score_dir = r.out / "checkpoints" / "scores" / f"rep{r.rep}"
     for attack_key, target_key in _attack_cells(r.plan):
         cell = f"{attack_key}__{target_key}"
-        path = score_dir / f"{cell}.json"
+        path = _path(r.out, "scores", rep=r.rep, cell=cell)
         if _intact(path):
             continue
         try:
@@ -361,62 +360,76 @@ def _attack(r: _Rep):
             path,
         )
     # written even when empty: the file marks the step complete
-    checkpoint.write_json(failures, _failures_path(r.out, r.rep))
-
-
-def stage_attack(plan: ExperimentPlan, out: Path, workers: int = 1):
-    _run_per_rep((_attack,), plan, out, workers)
+    checkpoint.write_json(failures, _path(r.out, "failures", rep=r.rep))
 
 
 # ---------------------------------------------------------------------------
 # stage: evaluate
 
 
-def _accuracy_path(out: Path, rep: int) -> Path:
-    return out / "checkpoints" / "metrics" / f"models_rep{rep}.json"
+def _model_names(plan: ExperimentPlan) -> list[str]:
+    """Every model of a repetition, keyed like its checkpoint file."""
+    return [f"{key}_{role}" for role in ROLES for key in ["original"] + plan.compression_keys()]
 
 
 def _model_accuracies(r: _Rep) -> dict:
     """Train and test accuracy of every model of the repetition."""
     table = {}
-    for role in ROLES:
-        for key in ["original"] + r.plan.compression_keys():
-            name = f"{key}_{role}"
-            model = r.model(name)
-            if isinstance(model, compress.CompressedModel):
-                model = model.model
-            tr = nn.evaluate_accuracy(model, *r.dataset.xy(getattr(r.split, f"{role}_train")))
-            te = nn.evaluate_accuracy(model, *r.dataset.xy(getattr(r.split, f"{role}_test")))
-            table[name] = {"train_accuracy": tr, "test_accuracy": te, "overfitting_gap": tr - te}
+    for name in _model_names(r.plan):
+        role = name.rsplit("_", 1)[1]
+        model = r.model(name)
+        if isinstance(model, compress.CompressedModel):
+            model = model.model
+        tr = nn.evaluate_accuracy(model, *r.dataset.xy(getattr(r.split, f"{role}_train")))
+        te = nn.evaluate_accuracy(model, *r.dataset.xy(getattr(r.split, f"{role}_test")))
+        table[name] = {"train_accuracy": tr, "test_accuracy": te, "overfitting_gap": tr - te}
     return table
 
 
-def _evaluate(r: _Rep):
-    path = _accuracy_path(r.out, r.rep)
-    if not _intact(path):
-        checkpoint.write_json(_model_accuracies(r), path)
-
-
-def stage_evaluate(plan: ExperimentPlan, out: Path, workers: int = 1):
-    _run_per_rep((_evaluate,), plan, out, workers)
+def stage_evaluate(r: _Rep):
+    try:
+        _accuracy_table(r.out, r.plan, r.rep)
+    except (DependencyError, CheckpointError):  # missing, damaged or of another plan: redone
+        checkpoint.write_json(_model_accuracies(r), _path(r.out, "accuracies", rep=r.rep))
 
 
 # ---------------------------------------------------------------------------
 # stage: report
 
 
-def _scored_cell(out: Path, plan: ExperimentPlan, rep: int, score_path: Path) -> dict:
-    """One cell's metrics from its score file; its ROC curve goes to ``report/roc``."""
-    payload = checkpoint.read_json(score_path)
+def _numbers(values) -> bool:
+    """Whether every value is a finite JSON number (a boolean is not one)."""
+    return all(type(v) in (int, float) and math.isfinite(v) for v in values)
+
+
+def _accuracy_table(out: Path, plan: ExperimentPlan, rep: int) -> dict:
+    """A repetition's accuracy table; it must give each of the plan's models three numbers."""
+    path = _path(out, "accuracies", need=True, rep=rep)
+    table = checkpoint.read_json(path)
+    fields = {"train_accuracy", "test_accuracy", "overfitting_gap"}
+    if not (isinstance(table, dict) and set(table) == set(_model_names(plan)) and all(
+            isinstance(row, dict) and set(row) == fields and _numbers(row.values())
+            for row in table.values())):
+        raise CheckpointError(f"{path}: malformed accuracy table (each of the plan's models "
+                              f"needs {', '.join(sorted(fields))} as finite numbers)")
+    return table
+
+
+def _scored_cell(out: Path, plan: ExperimentPlan, rep: int, attack: str, target: str) -> dict:
+    """One plan cell's metrics in one repetition from its score file; its ROC curve is written."""
+    cell = f"{attack}__{target}"
+    path = _path(out, "scores", rep=rep, cell=cell)
+    payload = checkpoint.read_json(path)
     try:
-        attack, target = payload["attack"], payload["target"]
-        if not (isinstance(attack, str) and isinstance(target, str)):
-            raise TypeError("attack and target must be strings")
-        scores = metrics.AttackScoreSet(payload["member_scores"], payload["nonmember_scores"],
-                                        decision_threshold=float(payload["decision_threshold"]))
-        scores.require_nonempty()
+        found = (payload["attack"], payload["target"], payload["rep"])
+        if found != (attack, target, rep):
+            raise ValueError(f"holds {found}, not the plan cell {(attack, target, rep)}")
+        lists = payload["member_scores"], payload["nonmember_scores"]
+        if not all(isinstance(s, list) and s and _numbers(s) for s in lists):
+            raise TypeError("scores must be flat, non-empty lists of finite numbers")
+        scores = metrics.AttackScoreSet(*lists, float(payload["decision_threshold"]))
     except (KeyError, TypeError, ValueError, InputError) as exc:
-        raise CheckpointError(f"{score_path}: malformed score file ({exc!r})") from None
+        raise CheckpointError(f"{path}: malformed score file ({exc!r})") from None
     record = {
         "attack": attack,
         "target": target,
@@ -425,72 +438,60 @@ def _scored_cell(out: Path, plan: ExperimentPlan, rep: int, score_path: Path) ->
         "auc": metrics.roc_auc(scores),
         "tpr_at_fpr": {repr(c): metrics.tpr_at_fpr(scores, c) for c in plan.fpr_caps},
         "small_sample": {repr(c): metrics.small_sample_flag(scores, c) for c in plan.fpr_caps},
-        "scores_file": str(score_path.relative_to(out)),
+        "scores_file": str(path.relative_to(out)),
     }
-    metrics.export_roc_csv(
-        metrics.roc_curve(scores), out / "report" / "roc" / f"rep{rep}__{score_path.stem}.csv")
+    metrics.export_roc_csv(metrics.roc_curve(scores), _path(out, "roc", rep=rep, cell=cell))
     return record
 
 
-def stage_report(plan: ExperimentPlan, out: Path, workers: int = 1) -> dict:
+def stage_report(plan: ExperimentPlan, out: Path) -> dict:
     """Write the report; each plan cell of each repetition needs a score file or a failure."""
     out = Path(out)
-    names = [f"{a}__{t}" for a, t in _attack_cells(plan)]
-    models, failures, score_paths = {}, [], []
+    plan_cells = _attack_cells(plan)
+    names = [f"{a}__{t}" for a, t in plan_cells]
+    models, failures, scored = {}, [], []
     for rep in range(plan.repetitions):
-        table, failed = _accuracy_path(out, rep), _failures_path(out, rep)
-        for path, stage in [(table, "evaluate"), (failed, "attack")][: 1 + bool(names)]:
-            if not path.exists():
-                raise DependencyError(f"report needs the {stage} stage output {path}")
-        models[f"rep{rep}"] = checkpoint.read_json(table)
+        models[f"rep{rep}"] = _accuracy_table(out, plan, rep)
+        failed = _path(out, "failures", need=bool(names), rep=rep)
         listed = [f for f in checkpoint.read_json(failed) if f["cell"] in names] if names else []
         failures += listed
-        for name in names:
-            path = out / "checkpoints" / "scores" / f"rep{rep}" / f"{name}.json"
-            if path.exists():
-                score_paths.append((rep, path))
-            elif name not in {f["cell"] for f in listed}:
-                raise DependencyError(f"report needs the attack stage output {path}")
-    roc_dir = out / "report" / "roc"
+        off_list = set(names) - {f["cell"] for f in listed}  # each needs its score file
+        for (attack, target), name in zip(plan_cells, names):
+            if _path(out, "scores", need=name in off_list, rep=rep, cell=name).exists():
+                scored.append((rep, attack, target))
+    roc_dir = (out / LAYOUT["roc"][1]).parent
     shutil.rmtree(roc_dir, ignore_errors=True)  # no curve of a cell the plan left out stays
     roc_dir.mkdir(parents=True)
-    cells = [_scored_cell(out, plan, rep, path) for rep, path in score_paths]
-    aggregates = {}
-    by_cell = {}
+    cells = [_scored_cell(out, plan, *cell) for cell in scored]
+    aggregates, by_cell, caps = {}, {}, [repr(c) for c in plan.fpr_caps]
     for c in cells:
         by_cell.setdefault((c["attack"], c["target"]), []).append(c)
     for (attack_key, target_key), group in sorted(by_cell.items()):
-        entry = {
+        aggregates[f"{attack_key}__{target_key}"] = {
             "balanced_accuracy_median": float(np.median([g["balanced_accuracy"] for g in group])),
             "auc_median": float(np.median([g["auc"] for g in group])),
-            "tpr_at_fpr_median": {},
+            "tpr_at_fpr_median": {c: float(np.median([g["tpr_at_fpr"][c] for g in group]))
+                                  for c in caps},
             "repetitions": len(group),
         }
-        for cap in plan.fpr_caps:
-            entry["tpr_at_fpr_median"][repr(cap)] = float(
-                np.median([g["tpr_at_fpr"][repr(cap)] for g in group])
-            )
-        aggregates[f"{attack_key}__{target_key}"] = entry
     report = {
         "schema_version": SCHEMA_VERSION,
         "plan_hash": plan.plan_hash(),
         "seed_base": plan.seed_base,
         "repetitions": plan.repetitions,
-        "fpr_caps": [repr(c) for c in plan.fpr_caps],
+        "fpr_caps": caps,
         "models": models,
         "cells": sorted(cells, key=lambda c: (c["attack"], c["target"], c["rep"])),
         "aggregates": aggregates,
         "failures": failures,
     }
-    report_dir = out / "report"
-    checkpoint.write_json(report, report_dir / "report.json")
-    _write_summary_csv(report, report_dir / "summary.csv")
-    _write_text_report(report, report_dir / "report.txt")
+    checkpoint.write_json(report, _path(out, "report"))
+    _write_summary_csv(report, _path(out, "summary"))
+    _write_text_report(report, _path(out, "text"))
     return report
 
 
 def _write_summary_csv(report: dict, path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
     caps = report["fpr_caps"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -510,7 +511,6 @@ def _write_summary_csv(report: dict, path: Path):
 
 
 def _write_text_report(report: dict, path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         f"plan hash    : {report['plan_hash']}",
         f"seed base    : {report['seed_base']}",
@@ -529,13 +529,9 @@ def _write_text_report(report: dict, path: Path):
     if report["failures"]:
         lines += ["", "failures:"]
         lines += [f"  rep{f['rep']} {f['cell']}: {f['error']}" for f in report["failures"]]
-    gaps = []
-    for rep_table in report["models"].values():
-        for key, acc in rep_table.items():
-            if key == "original_victim":
-                gaps.append(acc["overfitting_gap"])
-    if gaps:
-        lines += ["", f"victim overfitting gap (median): {float(np.median(gaps)):.4f}"]
+    # every accuracy table holds the original victim
+    gaps = [table["original_victim"]["overfitting_gap"] for table in report["models"].values()]
+    lines += ["", f"victim overfitting gap (median): {float(np.median(gaps)):.4f}"]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -543,19 +539,21 @@ def _write_text_report(report: dict, path: Path):
 # drivers
 
 
-def _rep_task(steps, plan: ExperimentPlan, out_str: str, rep: int):
-    """Run ``steps`` in order on one repetition."""
+def _rep_task(stage_names, plan: ExperimentPlan, out_str: str, rep: int):
+    """Run the steps ``stage_<name>`` in order on one repetition."""
     r = _Rep(plan, out_str, rep)
-    for step in steps:
-        step(r)
+    for name in stage_names:
+        # looked up at call time, so a replaced ``stage_<name>`` attribute is the one called
+        globals()[f"stage_{name}"](r)
 
 
-def _run_per_rep(steps, plan: ExperimentPlan, out: Path, workers: int):
-    """``_rep_task(steps)`` for every repetition; a pool has at most one worker per repetition."""
+def _run_per_rep(stage_names, plan: ExperimentPlan, out, workers: int | None):
+    """``_rep_task(stage_names)`` for every repetition; a pool has at most one worker each."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
+    workers = plan.workers if workers is None else workers
     reps = list(range(plan.repetitions))
-    task = functools.partial(_rep_task, steps)
+    task = functools.partial(_rep_task, stage_names)
     if workers <= 1 or len(reps) <= 1:
         for rep in reps:
             task(plan, str(out), rep)
@@ -572,17 +570,15 @@ def _run_per_rep(steps, plan: ExperimentPlan, out: Path, workers: int):
 def run_stage(plan: ExperimentPlan, out, stage: str, workers: int | None = None):
     if stage not in STAGES:
         raise CompauditError(f"unknown stage {stage!r}")
-    # looked up at call time, so a replaced ``stage_<name>`` attribute is the one called
-    stage_fn = globals()[f"stage_{stage}"]
-    return stage_fn(plan, Path(out), plan.workers if workers is None else workers)
+    if stage == "report":
+        return stage_report(plan, out)
+    _run_per_rep((stage,), plan, out, workers)
 
 
 def run_plan(plan: ExperimentPlan, out, workers: int | None = None) -> dict:
     """Run every stage, one task per repetition, and return the report dictionary."""
-    out = Path(out)
-    workers = plan.workers if workers is None else workers
-    _run_per_rep((_train, _compress, _attack, _evaluate), plan, out, workers)
-    return stage_report(plan, out, workers)
+    _run_per_rep(STAGES[:-1], plan, out, workers)
+    return stage_report(plan, out)
 
 
 def clear_downstream(out, stage: str):

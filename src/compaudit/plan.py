@@ -34,7 +34,8 @@ the plan leaves out keeps its field's default. ``plan.split`` is a
 ``data.SplitSizes``, ``plan.train`` a ``TrainSpec`` (``plan.train.hidden``),
 ``plan.dp`` an ``nn.DpConfig`` or None (``plan.dp.noise_multiplier``),
 and ``[metrics]`` and ``[run]`` fill ``ExperimentPlan``'s own fields.
-A section or key not listed above is an error that names it.
+A section or key not listed above is an error that names it, and a float
+that is not finite (``nan``, ``inf``) is a mistyped value.
 
 With ``int8_mode = qat`` the int8 model is fine-tuned from its float
 weights like every other compressed model; ``calibrate`` leaves it snapped
@@ -48,6 +49,7 @@ targets may share a key.
 
 import configparser
 import hashlib
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from types import UnionType
@@ -237,6 +239,8 @@ def _convert(hint, text: str):
         return [_convert(get_args(hint)[0], tok.strip()) for tok in text.split(",") if tok.strip()]
     if isinstance(hint, UnionType):  # ``float | None``: an empty value is None
         return _convert(get_args(hint)[0], text) if text else None
+    if hint is float and not math.isfinite(float(text)):
+        raise ValueError(f"not a finite number: {text!r}")
     return hint(text)
 
 

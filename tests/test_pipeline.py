@@ -125,14 +125,14 @@ class TestStages:
     def test_attack_without_compress_is_dependency_error(self, tmp_path):
         plan = parse_plan_text(MINIMAL)
         out = tmp_path / "out"
-        pipeline.stage_train(plan, out)
+        pipeline.run_stage(plan, out, "train")
         with pytest.raises(DependencyError, match="compress"):
-            pipeline.stage_attack(plan, out)
+            pipeline.run_stage(plan, out, "attack")
 
     def test_compress_without_train_is_dependency_error(self, tmp_path):
         plan = parse_plan_text(MINIMAL)
         with pytest.raises(DependencyError, match="train"):
-            pipeline.stage_compress(plan, tmp_path / "out")
+            pipeline.run_stage(plan, tmp_path / "out", "compress")
 
     def test_resume_after_deleting_downstream(self, tmp_path):
         plan = parse_plan_text(MINIMAL)
@@ -149,8 +149,8 @@ class TestStages:
 
         plan = parse_plan_text(GOOD)
         out = tmp_path / "out"
-        pipeline.stage_train(plan, out)
-        pipeline.stage_compress(plan, out)
+        pipeline.run_stage(plan, out, "train")
+        pipeline.run_stage(plan, out, "compress")
         for key in plan.compression_keys():
             for role in ("victim", "shadow"):
                 cm = checkpoint.load_model(out / "checkpoints" / "models" / "rep0" / f"{key}_{role}.json")
@@ -174,8 +174,8 @@ class TestStages:
             return real(cm, *args, **kwargs)
 
         monkeypatch.setattr(compress, "finetune_compressed", recording)
-        pipeline.stage_train(plan, out)
-        pipeline.stage_compress(plan, out)
+        pipeline.run_stage(plan, out, "train")
+        pipeline.run_stage(plan, out, "compress")
         assert families == tuned * 2  # victim, then shadow
 
     def test_each_model_loaded_once_per_repetition(self, tmp_path, monkeypatch):
@@ -193,13 +193,13 @@ class TestStages:
             return real(path)
 
         monkeypatch.setattr(checkpoint, "load_model", counting)
-        pipeline.stage_train(plan, out)
-        pipeline.stage_compress(plan, out)
+        pipeline.run_stage(plan, out, "train")
+        pipeline.run_stage(plan, out, "compress")
         assert sorted(loads) == ["original_shadow.json", "original_victim.json"]
         loads.clear()
-        pipeline.stage_compress(plan, out)  # every compressed model exists
+        pipeline.run_stage(plan, out, "compress")  # every compressed model exists
         assert loads == []
-        pipeline.stage_attack(plan, out)
+        pipeline.run_stage(plan, out, "attack")
         assert len(pipeline._attack_cells(plan)) == 5
         assert sorted(loads) == sorted(f"{k}_{r}.json" for k in ("original", "prune70")
                                        for r in ("victim", "shadow"))
@@ -309,6 +309,15 @@ class TestRepetitionTask:
         with pytest.raises(DependencyError, match="models_rep0.json"):
             pipeline.stage_report(plan, out)
 
+    def test_resume_with_an_added_target_recomputes_the_table(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        pipeline.run_plan(parse_plan_text(MINIMAL), out)
+        wider = parse_plan_text(MINIMAL.replace("prune = 0.7\n", "prune = 0.7\nint8 = true\n"))
+        report = pipeline.run_plan(wider, out)
+        assert len(report["models"]["rep0"]) == 6
+        pipeline.run_plan(wider, fresh)
+        assert report_bytes(out) == report_bytes(fresh)
+
     def test_plan_without_attack_cells_gets_a_table(self, tmp_path):
         plan = parse_plan_text(MINIMAL.replace("nr = loss\nnr_targets = prune70\n", ""))
         assert pipeline._attack_cells(plan) == []
@@ -353,8 +362,18 @@ class TestRepetitionTask:
         plan = parse_plan_text(EVERY_KIND)
         full, staged = tmp_path / "full", tmp_path / "staged"
         pipeline.run_plan(plan, full)
+        cells = [f"{a}__{t}" for a, t in pipeline._attack_cells(plan)]
+        targets = {"original": ["original"], "compressed": plan.compression_keys()}
+        written = set()
         for stage in pipeline.STAGES:
             pipeline.run_stage(plan, staged, stage)
+            # the files the layout names for this stage, and no others, are new
+            named = {Path(pattern.format(rep=0, role=role, target=target, cell=cell))
+                     for kind, (writer, pattern) in pipeline.LAYOUT.items() if writer == stage
+                     for role in pipeline.ROLES for target in targets.get(kind, [None])
+                     for cell in cells}
+            assert output_files(staged) - written == named, stage
+            written = output_files(staged)
         files = output_files(full)
         assert files == output_files(staged)
         assert all((full / f).read_bytes() == (staged / f).read_bytes() for f in files)
@@ -375,7 +394,15 @@ def layout_regex(pattern: str) -> re.Pattern:
         for i, p in enumerate(parts)))
 
 
+# how the README writes each placeholder of a ``pipeline.LAYOUT`` pattern
+README_NAMES = {"rep": "<r>", "role": "<victim|shadow>", "target": "<target>",
+                "cell": "<attack>__<target>"}
+
+
 def test_readme_layout_names_every_output_file(tmp_path):
+    table = {re.sub(r"\{(\w+)\}", lambda m: README_NAMES[m[1]], pattern)
+             for _, pattern in pipeline.LAYOUT.values()}
+    assert sorted(readme_layout()) == sorted(table)
     out = tmp_path / "out"
     pipeline.run_plan(parse_plan_text(EVERY_KIND), out)
     patterns = {p: layout_regex(p) for p in readme_layout()}
@@ -392,7 +419,7 @@ def output_files(out):
 
 
 def stage_of(rel):
-    """The stage that writes an output file, by the layout of the pipeline docstring."""
+    """The stage that writes an output file, by its path."""
     if rel.parts[0] == "report":
         return "report"
     if rel.parts[1] == "scores":
@@ -428,21 +455,136 @@ class TestStageTables:
         assert all((out / f).read_bytes() == (clean_out / f).read_bytes() for f in report)
         assert {f for f in output_files(out) if stage_of(f) == "report"} == set(report)
 
-    def test_run_stage_calls_the_module_attribute(self, tmp_path, monkeypatch):
+    def test_runs_call_each_stage_attribute_once_per_repetition(self, tmp_path, monkeypatch):
+        # the benchmark tracer times the stages by replacing these attributes
         calls = []
 
-        def traced(plan, out, workers):
-            calls.append((out, workers))
-            return "evaluated"
+        def recorder(stage):
+            def step(*args):
+                calls.append((stage, args[0].rep) if stage != "report" else (stage,))
+            return step
 
-        monkeypatch.setattr(pipeline, "stage_evaluate", traced)
-        plan = parse_plan_text(MINIMAL)
-        assert pipeline.run_stage(plan, str(tmp_path), "evaluate", workers=3) == "evaluated"
-        assert calls == [(tmp_path, 3)]
+        for stage in pipeline.STAGES:
+            monkeypatch.setattr(pipeline, f"stage_{stage}", recorder(stage))
+        plan = parse_plan_text(MINIMAL.replace("repetitions = 1", "repetitions = 2"))
+        per_rep = [(stage, rep) for rep in (0, 1) for stage in pipeline.STAGES[:-1]]
+        pipeline.run_plan(plan, tmp_path / "full")
+        assert calls == per_rep + [("report",)]
+        calls.clear()
+        for stage in pipeline.STAGES:
+            pipeline.run_stage(plan, tmp_path / "staged", stage)
+        staged = [(stage, rep) for stage in pipeline.STAGES[:-1] for rep in (0, 1)]
+        assert calls == staged + [("report",)]
 
     def test_unknown_stage_rejected(self, tmp_path):
         with pytest.raises(CompauditError, match="unknown stage"):
             pipeline.run_stage(parse_plan_text(MINIMAL), tmp_path, "deploy")
+
+
+SCORE = "checkpoints/scores/rep0/nr_loss__prune70.json"
+TABLE = "checkpoints/metrics/models_rep0.json"
+MODELS = "checkpoints/models/rep0"
+
+
+def edited(rel, change):
+    """An edit of a finished run: ``change`` applied to the JSON of one file."""
+    def edit(out):
+        path = out / rel
+        d = json.loads(path.read_text())
+        d = change(d) or d
+        path.write_text(json.dumps(d), encoding="utf-8")
+    return edit
+
+
+def model_file(name, change):
+    """An edit of one model file; the accuracy table goes, so the evaluate step loads it."""
+    def edit(out):
+        (out / TABLE).unlink()
+        change(out / MODELS / f"{name}.json")
+    return edit
+
+
+def copied_from(name):
+    return lambda path: shutil.copyfile(path.parent / f"{name}.json", path)
+
+
+def no_constraint(path):
+    edited(path.name, lambda d: d.update(constraint=None))(path.parent)
+
+
+# case: (stage to run, plan text edit or edit of a finished run, texts the error names);
+# a stage of None runs the whole plan into a new directory
+REJECTED = {
+    "learning_rate_nan": (None, ("learning_rate = 0.2", "learning_rate = nan"),
+                          ["[train] learning_rate is mistyped: not a finite number: 'nan'"]),
+    "learning_rate_inf": (None, ("learning_rate = 0.2", "learning_rate = inf"),
+                          ["[train] learning_rate is mistyped: not a finite number: 'inf'"]),
+    "l2_lambda_nan": (None, ("dropout = 0.0\n", "dropout = 0.0\nl2_lambda = nan\n"),
+                      ["[train] l2_lambda is mistyped: not a finite number: 'nan'"]),
+    "finetune_learning_rate_inf": (
+        None, ("finetune_epochs = 1\n", "finetune_epochs = 1\nfinetune_learning_rate = inf\n"),
+        ["[compression] finetune_learning_rate is mistyped: not a finite number: 'inf'"]),
+    "score_of_another_target": ("report", edited(SCORE, lambda d: d.update(target="x")),
+                                [f"{SCORE}: malformed score file", "not the plan cell"]),
+    "score_of_another_attack": ("report", edited(SCORE, lambda d: d.update(attack="nr_mentr")),
+                                [f"{SCORE}: malformed score file", "not the plan cell"]),
+    "score_of_another_rep": ("report", edited(SCORE, lambda d: d.update(rep=1)),
+                             [f"{SCORE}: malformed score file", "not the plan cell"]),
+    "scores_true": ("report", edited(SCORE, lambda d: d.update(member_scores=True)),
+                    [f"{SCORE}: malformed score file", "flat, non-empty lists"]),
+    "scores_nested": ("report", edited(SCORE, lambda d: d.update(
+        member_scores=[d["member_scores"]])), [f"{SCORE}: malformed score file", "flat"]),
+    "scores_as_text": ("report", edited(SCORE, lambda d: d.update(
+        nonmember_scores=[str(v) for v in d["nonmember_scores"]])),
+        [f"{SCORE}: malformed score file", "flat"]),
+    "accuracy_row_null": ("report", edited(TABLE, lambda d: d.update(original_victim=None)),
+                          [f"{TABLE}: malformed accuracy table"]),
+    "accuracy_row_text": ("report", edited(TABLE, lambda d: d.update(prune70_victim="x")),
+                          [f"{TABLE}: malformed accuracy table"]),
+    "accuracy_row_missing": ("report", edited(TABLE, lambda d: d.pop("int8_shadow") and None),
+                             [f"{TABLE}: malformed accuracy table"]),
+    "accuracy_nan": ("report", edited(TABLE, lambda d: d["int8_victim"].update(
+        test_accuracy=float("nan"))), [f"{TABLE}: malformed accuracy table"]),
+    "pruned_model_without_constraint": (
+        "evaluate", model_file("prune70_victim", no_constraint),
+        [f"{MODELS}/prune70_victim.json: holds a plain model, not a prune one"]),
+    "original_holding_a_pruned_model": (
+        "evaluate", model_file("original_victim", copied_from("prune70_victim")),
+        [f"{MODELS}/original_victim.json: holds a prune model, not a plain one"]),
+    "pruned_holding_an_int8_model": (
+        "evaluate", model_file("prune70_shadow", copied_from("int8_shadow")),
+        [f"{MODELS}/prune70_shadow.json: holds a quant model, not a prune one"]),
+}
+
+
+class TestRejectedInput:
+    """A plan value or stage output that a step must not use stops the run with one line."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("clean") / "out"
+        pipeline.run_plan(parse_plan_text(EVERY_KIND), out)
+        return out
+
+    @pytest.mark.parametrize("case", list(REJECTED))
+    def test_one_line_exit_two(self, clean, tmp_path, capsys, case):
+        stage, edit, named = REJECTED[case]
+        plan_path, out = tmp_path / "plan.ini", tmp_path / "out"
+        if stage is None:
+            assert edit[0] in EVERY_KIND
+            plan_path.write_text(EVERY_KIND.replace(*edit), encoding="utf-8")
+        else:
+            plan_path.write_text(EVERY_KIND, encoding="utf-8")
+            shutil.copytree(clean, out)
+            edit(out)
+        argv = ["--plan", str(plan_path), "--out", str(out)]
+        assert cli.main(argv + (["--stage", stage] if stage else [])) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+        assert all(text in lines[0] for text in named), lines[0]
+        if stage is None:
+            assert not out.exists()  # rejected before the output directory is made
 
 
 class TestReportSchema:
@@ -614,8 +756,8 @@ class TestCli:
         (("shadow_test = 40\n", ""), "shadow_test"),
         (("learning_rate = 0.2\n", ""), "learning_rate"),
         (("[compression]", "[dp]\nnoise_multiplier = 0.5\n\n[compression]"), "clip_norm"),
-        (("prune = 0.7\n", "prune = nan\n"), "prune sparsity nan"),
-        (("prune = 0.7\n", "prune = inf\n"), "prune sparsity inf"),
+        (("prune = 0.7\n", "prune = nan\n"), "prune is mistyped: not a finite number: 'nan'"),
+        (("prune = 0.7\n", "prune = inf\n"), "prune is mistyped: not a finite number: 'inf'"),
         (None, "cannot read plan"),
         (("learning_rate = 0.2\n", "learning_rate = 0.2\nmomentum = 0.9\n"),
          "unknown key 'momentum'"),
