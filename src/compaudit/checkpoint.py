@@ -44,8 +44,8 @@ no out-of-bag scores.
 Every file is written atomically by ``write_json``. A compressed model's
 weights hold few distinct values: at most 255 on the int8 grid, one per
 centroid when clustered, and many zeros when pruned. ``save_model``
-therefore has ``write_json`` format each distinct value once; the bytes
-are the same as the plain encoder's.
+therefore has ``write_json`` format each distinct value once, and +0.0
+as ``0``: arrays are read as float, so ``0`` and ``0.0`` load the same bits.
 """
 
 import json
@@ -79,7 +79,7 @@ def write_json(payload, path, few_values: bool = False):
 
     With ``few_values``, each array's text is put together from one
     formatted text per distinct value (see ``_few_values_text``), which
-    pays when the values repeat; the bytes do not change.
+    pays when the values repeat; the bytes are the plain encoder's but +0.0 is ``0``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -102,12 +102,15 @@ def _few_values_text(a: np.ndarray) -> str:
 
     Values are told apart by their bits, so -0.0 and 0.0 keep their own
     text; ``json`` writes the distinct values, non-finite ones included,
-    and their texts are gathered back into the array's nesting.
+    and their texts are gathered back into the array's nesting. A float
+    array's +0.0 is ``0``; -0.0 stays ``-0.0``, as JSON ``-0`` reads as 0.
     """
     if a.dtype.kind not in "biuf" or a.ndim == 0 or a.size == 0:
         return _dumps(a.tolist())
     bits, index = np.unique(a.view(f"u{a.itemsize}"), return_inverse=True)
     texts = np.array(_dumps(bits.view(a.dtype).tolist())[1:-1].split(","), dtype=object)
+    if a.dtype.kind == "f" and bits[0] == 0:  # +0.0 sorts first; JSON 0 reads back as it
+        texts[0] = "0"
     items = texts[index.ravel()].tolist()
     for width in reversed(a.shape):  # join the innermost axis first
         items = ["[" + ",".join(items[i : i + width]) + "]" for i in range(0, len(items), width)]
@@ -211,6 +214,8 @@ def load_model(path) -> FcnModel | CompressedModel:
             raise ValueError("non-finite weights or biases")
         c = d.get("constraint")
         if c is None:
+            if (d["family"], d["degree_tag"]) != (None, None):
+                raise ValueError("a family or degree tag without a constraint")
             return model
         constraint = KINDS[c["kind"]].from_fields(c, [w.shape for w in model.weights])
         if d["family"] != constraint.family:

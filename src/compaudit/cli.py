@@ -15,6 +15,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .errors import CompauditError
 from .pipeline import STAGES, run_plan, run_stage
 from .plan import parse_plan
@@ -62,14 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        plan = parse_plan(args.plan)
-        if args.seed_base is not None:
-            plan.seed_base = args.seed_base
-        if args.stage is None:
-            report = run_plan(plan, args.out, workers=args.workers)
-        else:
-            result = run_stage(plan, args.out, args.stage, workers=args.workers)
-            report = result if args.stage == "report" else None
+        # no numpy warning lines: the program checks losses and weights for finiteness itself
+        with np.errstate(all="ignore"):
+            plan = parse_plan(args.plan)
+            if args.seed_base is not None:
+                plan.seed_base = args.seed_base
+            if args.stage is None:
+                report = run_plan(plan, args.out, workers=args.workers)
+            else:
+                result = run_stage(plan, args.out, args.stage, workers=args.workers)
+                report = result if args.stage == "report" else None
     except (CompauditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

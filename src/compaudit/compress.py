@@ -49,6 +49,13 @@ class CompressedModel:
         return self.constraint.check(self.model.weights)
 
 
+def degree(family: str, parameter=None) -> float:
+    """The ``degree_tag`` of a ``family`` model given its sparsity or cluster count."""
+    if family == "prune":
+        return parameter * 100.0
+    return 8.0 if family == "quant" else 100.0 / parameter
+
+
 def _require_finite(model: nn.FcnModel):
     for w in model.weights:
         if not np.all(np.isfinite(w)):
@@ -78,7 +85,7 @@ def prune_l1(model: nn.FcnModel, sparsity: float) -> CompressedModel:
         w[~m] = 0.0
         masks.append(m)
         offset += w.size
-    return CompressedModel(new, Pruned(masks), sparsity * 100.0)
+    return CompressedModel(new, Pruned(masks), degree("prune", sparsity))
 
 
 def quantize_int8(model: nn.FcnModel) -> CompressedModel:
@@ -93,7 +100,8 @@ def quantize_int8(model: nn.FcnModel) -> CompressedModel:
     snapped = [fake_quantize(w) for w in model.weights]
     new = model.copy()
     new.weights = [w for w, _ in snapped]
-    return CompressedModel(new, Quantized([s for _, s in snapped], list(model.weights)), 8.0)
+    return CompressedModel(new, Quantized([s for _, s in snapped], list(model.weights)),
+                           degree("quant"))
 
 
 def kmeans_1d(
@@ -189,7 +197,7 @@ def cluster_weights(model: nn.FcnModel, n_clusters: int, seed: int = 0) -> Compr
         new.weights[l] = cent[assign].reshape(w.shape)
         assignments.append(assign)
         centroids.append(cent)
-    return CompressedModel(new, Clustered(assignments, centroids), 100.0 / n_clusters)
+    return CompressedModel(new, Clustered(assignments, centroids), degree("cluster", n_clusters))
 
 
 def finetune_compressed(

@@ -192,14 +192,19 @@ class _Rep:
         return _path(self.out, kind, need=need, rep=self.rep, target=target, role=role)
 
     def model(self, name: str):
-        """The model ``name``, loaded on first use; a file of another family is rejected."""
+        """The model ``name``, loaded on first use; one of another family or degree is rejected."""
         if name not in self.models:
             path, target = self.path(name, need=True), name.rsplit("_", 1)[0]
             model = checkpoint.load_model(path)
-            want = {k: f for k, f, _ in self.plan.compression.targets()}.get(target, "plain")
-            got = model.family if isinstance(model, compress.CompressedModel) else "plain"
+            targets = {k: (f, compress.degree(f, p)) for k, f, p in self.plan.compression.targets()}
+            want, degree = targets.get(target, ("plain", None))
+            compressed = isinstance(model, compress.CompressedModel)
+            got = model.family if compressed else "plain"
             if got != want:
                 raise CheckpointError(f"{path}: holds a {got} model, not a {want} one")
+            if compressed and model.degree_tag != degree:
+                raise CheckpointError(f"{path}: degree tag {model.degree_tag!r}, "
+                                      f"not the {degree!r} of {target}")
             self.models[name] = model
         return self.models[name]
 
@@ -415,6 +420,19 @@ def _accuracy_table(out: Path, plan: ExperimentPlan, rep: int) -> dict:
     return table
 
 
+def _failure_list(out: Path, rep: int) -> list:
+    """A repetition's failure list: objects holding exactly its rep, a cell and an error."""
+    path = _path(out, "failures", need=True, rep=rep)
+    listed = checkpoint.read_json(path)
+    if not (isinstance(listed, list) and all(
+            isinstance(f, dict) and set(f) == {"rep", "cell", "error"} and type(f["rep"]) is int
+            and f["rep"] == rep and isinstance(f["cell"], str) and isinstance(f["error"], str)
+            for f in listed)):
+        raise CheckpointError(f"{path}: malformed failure list (each entry needs rep {rep}, "
+                              "and a cell and an error as strings)")
+    return listed
+
+
 def _scored_cell(out: Path, plan: ExperimentPlan, rep: int, attack: str, target: str) -> dict:
     """One plan cell's metrics in one repetition from its score file; its ROC curve is written."""
     cell = f"{attack}__{target}"
@@ -452,8 +470,7 @@ def stage_report(plan: ExperimentPlan, out: Path) -> dict:
     models, failures, scored = {}, [], []
     for rep in range(plan.repetitions):
         models[f"rep{rep}"] = _accuracy_table(out, plan, rep)
-        failed = _path(out, "failures", need=bool(names), rep=rep)
-        listed = [f for f in checkpoint.read_json(failed) if f["cell"] in names] if names else []
+        listed = [f for f in _failure_list(out, rep) if f["cell"] in names] if names else []
         failures += listed
         off_list = set(names) - {f["cell"] for f in listed}  # each needs its score file
         for (attack, target), name in zip(plan_cells, names):
@@ -562,7 +579,9 @@ def _run_per_rep(stage_names, plan: ExperimentPlan, out, workers: int | None):
     # that a run without a pool has no use for
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(reps))) as pool:
+    # each worker starts with the caller's numpy error state, whatever the start method
+    initializer = functools.partial(np.seterr, **np.geterr())
+    with ProcessPoolExecutor(max_workers=min(workers, len(reps)), initializer=initializer) as pool:
         # drained, so an exception in a worker raises here
         list(pool.map(task, [plan] * len(reps), [str(out)] * len(reps), reps))
 

@@ -24,6 +24,16 @@ COMPRESSIONS = {
 }
 
 
+# a model of each kind that a checkpoint holds, by name
+SAVED_MODELS = {
+    "plain": lambda m: m,
+    **COMPRESSIONS,
+    "int8": lambda m: compress.quantize_int8(m),
+    "cluster8": lambda m: compress.cluster_weights(m, 8, seed=0),
+    "prune70": lambda m: compress.prune_l1(m, 0.7),
+}
+
+
 def packed(a: np.ndarray) -> str:
     return base64.b64encode(a.tobytes()).decode("ascii")
 
@@ -206,6 +216,30 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b)
 
 
+def signed_zero_biases(name: str):
+    """``ROUND_TRIPS[name]`` with +0.0 and -0.0 in its first bias, which no constraint touches."""
+    saved = ROUND_TRIPS[name]()
+    held = saved.model if isinstance(saved, compress.CompressedModel) else saved
+    held.biases[0][:2] = [0.0, -0.0]
+    return saved
+
+
+def assert_same_model(loaded, saved):
+    """Same type, constraint and degree, and every stored array bit for bit."""
+    assert type(loaded) is type(saved)
+    if isinstance(saved, compress.CompressedModel):
+        assert type(loaded.constraint) is type(saved.constraint)
+        assert loaded.degree_tag == saved.degree_tag
+        for field in dataclasses.fields(saved.constraint):
+            if field.compare:  # a checkpoint does not keep what equality ignores
+                pairs = zip(getattr(loaded.constraint, field.name),
+                            getattr(saved.constraint, field.name), strict=True)
+                assert all(same_bits(np.asarray(a), np.asarray(b)) for a, b in pairs)
+        loaded, saved = loaded.model, saved.model
+    for a, b in zip(loaded.weights + loaded.biases, saved.weights + saved.biases, strict=True):
+        assert same_bits(a, b)
+
+
 class TestPackedRoundTrip:
     """Every family saves and loads bit for bit, and saves the same bytes each time."""
 
@@ -214,26 +248,32 @@ class TestPackedRoundTrip:
         saved = ROUND_TRIPS[name]()
         p, again = tmp_path / "m.json", tmp_path / "again.json"
         checkpoint.save_model(p, saved)
-        loaded = checkpoint.load_model(p)
-        assert type(loaded) is type(saved)
-        if isinstance(saved, compress.CompressedModel):
-            assert type(loaded.constraint) is type(saved.constraint)
-            assert loaded.degree_tag == saved.degree_tag
-            for field in dataclasses.fields(saved.constraint):
-                if field.compare:  # a checkpoint does not keep what equality ignores
-                    pairs = zip(getattr(loaded.constraint, field.name),
-                                getattr(saved.constraint, field.name), strict=True)
-                    assert all(same_bits(np.asarray(a), np.asarray(b)) for a, b in pairs)
-            loaded, saved_model = loaded.model, saved.model
-        else:
-            saved_model = saved
-        for a, b in zip(loaded.weights + loaded.biases, saved_model.weights + saved_model.biases,
-                        strict=True):
-            assert same_bits(a, b)
+        assert_same_model(checkpoint.load_model(p), saved)
         checkpoint.save_model(again, saved)
         assert again.read_bytes() == p.read_bytes()
         checkpoint.save_model(again, checkpoint.load_model(p))
         assert again.read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+    def test_signed_zeros_round_trip_with_positive_zero_as_0(self, tmp_path, name):
+        saved = signed_zero_biases(name)
+        p = tmp_path / "m.json"
+        checkpoint.save_model(p, saved)
+        assert_same_model(checkpoint.load_model(p), saved)
+        text = p.read_text(encoding="utf-8")
+        zeros = "0,-0.0" if name != "plain" else "0.0,-0.0"
+        assert text[text.index('"biases":'):].startswith(f'"biases":[[{zeros},')
+
+    @pytest.mark.parametrize("name", sorted(set(ROUND_TRIPS) - {"plain"}))
+    def test_files_with_positive_zero_as_0_0_load_to_the_same_bits(self, tmp_path, monkeypatch,
+                                                                   name):
+        saved = signed_zero_biases(name)
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        payload, _ = saved_payload(monkeypatch, new, saved)
+        checkpoint.write_json(payload, old)  # every +0.0 as 0.0, as files of earlier releases
+        assert old.read_bytes() == dumped(payload) != new.read_bytes()
+        assert_same_model(checkpoint.load_model(old), checkpoint.load_model(new))
+        assert_same_model(checkpoint.load_model(old), saved)
 
     def test_mask_is_packbits_of_the_row_major_keep_bits(self, tmp_path):
         saved = signed_zero_pruned()
@@ -325,9 +365,30 @@ class TestLayoutContract:
         for l, (w, b) in enumerate(zip(d["weights"], d["biases"], strict=True)):
             assert isinstance(w, list) and len(w) == sizes[l + 1]
             assert all(isinstance(row, list) and len(row) == sizes[l] for row in w)
-            assert all(type(x) is float for row in w for x in row)
+            assert all(number(x) for row in w for x in row)
             assert isinstance(b, list) and len(b) == sizes[l + 1]
-            assert all(type(x) is float for x in b)
+            assert all(number(x) for x in b)
+
+    @pytest.mark.parametrize("kind", sorted(SAVED_MODELS))
+    def test_a_plain_json_reader_gets_the_saved_bits(self, tmp_path, kind):
+        """``json`` and ``np.asarray(..., dtype=float)``, as the benchmark's oracle reads them."""
+        model = nn.init_fcn([5, 7, 3], seed=1)
+        model.biases[0][:2] = [0.0, -0.0]
+        saved = SAVED_MODELS[kind](model)
+        p = tmp_path / "m.json"
+        checkpoint.save_model(p, saved)
+        with open(p, encoding="utf-8") as fh:
+            d = json.load(fh)
+        assert (type(d["biases"][0][0]) is int) == (kind != "plain")  # +0.0 is 0 when compressed
+        held = saved.model if isinstance(saved, compress.CompressedModel) else saved
+        for key in ("weights", "biases"):
+            read = [np.asarray(a, dtype=float) for a in d[key]]
+            assert all(same_bits(a, b) for a, b in zip(read, getattr(held, key), strict=True))
+
+
+def number(x) -> bool:
+    """A float, or the integer 0 that a compressed model's +0.0 is written as."""
+    return type(x) is float or (type(x) is int and x == 0)
 
 
 class TestClassifierCheckpoints:
@@ -424,29 +485,43 @@ class TestAtomicWrite:
             checkpoint.read_json(p)
 
 
-def as_lists(value):
-    """``value`` with every numpy array replaced by its ``tolist()``."""
+def as_lists(value, few_values=False):
+    """``value`` with every numpy array replaced by its ``tolist()``.
+
+    With ``few_values``, each +0.0 of a float array with one or more axes is
+    the integer 0, as ``write_json(..., few_values=True)`` writes it.
+    """
     if isinstance(value, np.ndarray):
+        if few_values and value.dtype.kind == "f" and value.ndim:
+            positive_zero = (value == 0) & ~np.signbit(value)
+            value = value.astype(object)
+            value[positive_zero] = 0
         return value.tolist()
     if isinstance(value, dict):
-        return {k: as_lists(v) for k, v in value.items()}
+        return {k: as_lists(v, few_values) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [as_lists(v) for v in value]
+        return [as_lists(v, few_values) for v in value]
     return value
 
 
-def dumped(payload) -> bytes:
-    return json.dumps(as_lists(payload), sort_keys=True, separators=(",", ":")).encode("utf-8")
+def dumped(payload, few_values=False) -> bytes:
+    return json.dumps(as_lists(payload, few_values), sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
 
 
-# a model of each kind that a checkpoint holds, by name
-SAVED_MODELS = {
-    "plain": lambda m: m,
-    **COMPRESSIONS,
-    "int8": lambda m: compress.quantize_int8(m),
-    "cluster8": lambda m: compress.cluster_weights(m, 8, seed=0),
-    "prune70": lambda m: compress.prune_l1(m, 0.7),
-}
+def saved_payload(monkeypatch, path, model) -> tuple[dict, dict]:
+    """``save_model(path, model)``, and the payload and keywords it gave ``write_json``."""
+    calls = []
+    real = checkpoint.write_json
+
+    def recording(payload, path, **kwargs):
+        calls.append((payload, kwargs))
+        real(payload, path, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "write_json", recording)
+    checkpoint.save_model(path, model)
+    ((payload, kwargs),) = calls
+    return payload, kwargs
 
 
 class TestStreamedWrite:
@@ -457,21 +532,12 @@ class TestStreamedWrite:
         model = nn.init_fcn([5, 12, 3], seed=1)
         model.weights[0][0, :2] = [-0.0, 0.0]
         model = SAVED_MODELS[kind](model)
-        calls = []
-        real = checkpoint.write_json
-
-        def recording(payload, path, **kwargs):
-            calls.append((payload, kwargs))
-            real(payload, path, **kwargs)
-
-        monkeypatch.setattr(checkpoint, "write_json", recording)
         p = tmp_path / "m.json"
-        checkpoint.save_model(p, model)
-        ((payload, kwargs),) = calls
+        payload, kwargs = saved_payload(monkeypatch, p, model)
         assert all(isinstance(w, np.ndarray) for w in payload["weights"] + payload["biases"])
-        # a compressed model's arrays are formatted once per distinct value
+        # a compressed model's arrays are formatted once per distinct value, +0.0 as 0
         assert kwargs == {"few_values": kind != "plain"}
-        assert p.read_bytes() == dumped(payload)
+        assert p.read_bytes() == dumped(payload, **kwargs)
 
     @pytest.mark.parametrize("few_values", [False, True])
     def test_signed_zeros_empty_arrays_and_nesting(self, tmp_path, few_values):
@@ -495,8 +561,10 @@ class TestStreamedWrite:
         }
         p = tmp_path / "x.json"
         checkpoint.write_json(payload, p, few_values=few_values)
-        assert p.read_bytes() == dumped(payload)
+        assert p.read_bytes() == dumped(payload, few_values)
         assert b"-0.0" in p.read_bytes()
+        # +0.0 is 0 in every float array of the few-values path; JSON -0 would read as +0.0
+        assert (b'"matrix":[[-0.0,0,1.5,-0.0]' in p.read_bytes()) == few_values
 
     @pytest.mark.parametrize("bad", [
         {"a": np.arange(3), "b": object()},

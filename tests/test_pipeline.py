@@ -483,6 +483,7 @@ class TestStageTables:
 
 SCORE = "checkpoints/scores/rep0/nr_loss__prune70.json"
 TABLE = "checkpoints/metrics/models_rep0.json"
+FAILS = "checkpoints/scores/failures_rep0.json"
 MODELS = "checkpoints/models/rep0"
 
 
@@ -494,6 +495,11 @@ def edited(rel, change):
         d = change(d) or d
         path.write_text(json.dumps(d), encoding="utf-8")
     return edit
+
+
+def written(rel, text):
+    """An edit of a finished run: one file's text replaced."""
+    return lambda out: (out / rel).write_text(text, encoding="utf-8")
 
 
 def model_file(name, change):
@@ -508,8 +514,13 @@ def copied_from(name):
     return lambda path: shutil.copyfile(path.parent / f"{name}.json", path)
 
 
-def no_constraint(path):
-    edited(path.name, lambda d: d.update(constraint=None))(path.parent)
+def no_constraint(path):  # a whole plain model: no constraint, family or degree tag
+    edited(path.name, lambda d: d.update(constraint=None, family=None, degree_tag=None))(
+        path.parent)
+
+
+def updated(**fields):
+    return lambda path: edited(path.name, lambda d: d.update(fields))(path.parent)
 
 
 # case: (stage to run, plan text edit or edit of a finished run, texts the error names);
@@ -554,6 +565,29 @@ REJECTED = {
     "pruned_holding_an_int8_model": (
         "evaluate", model_file("prune70_shadow", copied_from("int8_shadow")),
         [f"{MODELS}/prune70_shadow.json: holds a quant model, not a prune one"]),
+    "pruned_model_of_another_degree": (
+        "evaluate", model_file("prune70_victim", updated(degree_tag=91.0)),
+        [f"{MODELS}/prune70_victim.json: degree tag 91.0, not the 70.0 of prune70"]),
+    "clustered_model_of_another_degree": (
+        "evaluate", model_file("cluster2_shadow", updated(degree_tag=25.0)),
+        [f"{MODELS}/cluster2_shadow.json: degree tag 25.0, not the 50.0 of cluster2"]),
+    "original_with_a_degree_tag": (
+        "evaluate", model_file("original_victim", updated(degree_tag=70.0)),
+        [f"{MODELS}/original_victim.json: malformed model", "without a constraint"]),
+    "original_with_a_family": (
+        "evaluate", model_file("original_shadow", updated(family="prune")),
+        [f"{MODELS}/original_shadow.json: malformed model", "without a constraint"]),
+    "failure_list_of_a_number": ("report", written(FAILS, "[1]"),
+                                 [f"{FAILS}: malformed failure list"]),
+    "failure_list_as_an_object": ("report", written(FAILS, "{}"),
+                                  [f"{FAILS}: malformed failure list"]),
+    "failure_of_another_rep": ("report", written(FAILS, json.dumps(
+        [{"rep": 1, "cell": "nr_loss__int8", "error": "e"}])),
+        [f"{FAILS}: malformed failure list"]),
+    "failure_without_its_error": ("report", written(FAILS, json.dumps(
+        [{"rep": 0, "cell": "nr_loss__int8"}])), [f"{FAILS}: malformed failure list"]),
+    "failure_of_a_numbered_cell": ("report", written(FAILS, json.dumps(
+        [{"rep": 0, "cell": 3, "error": "e"}])), [f"{FAILS}: malformed failure list"]),
 }
 
 
@@ -726,6 +760,21 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and repr(value) in err[0]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_training_prints_no_numpy_warning(self, tmp_path, workers):
+        """Only the ``error:`` line, from pool workers too; run apart, as pytest keeps warnings."""
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(MINIMAL.replace("learning_rate = 0.2", "learning_rate = 1e300")
+                             .replace("repetitions = 1", "repetitions = 2"), encoding="utf-8")
+        env = dict(os.environ)
+        src = str(Path(compaudit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run([sys.executable, "-m", "compaudit", "--plan", str(plan_path),
+                              "--out", str(tmp_path / "o"), "--workers", str(workers)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr == "error: non-finite loss at epoch 0\n"
 
     def test_full_run_exit_zero(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.ini"
