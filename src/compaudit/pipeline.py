@@ -15,12 +15,12 @@ dataset, and it scores every cell from its score file, so no metric is
 stored anywhere else to go stale.
 
 Every number is a pure function of the plan text and the seed base: cell
-seeds are derived by hashing (seed_base, repetition, role), stages skip
-work whose output file already exists (a score file that does not parse,
-or an accuracy table that the report would reject, is computed again),
-and all serialization is byte-stable, so rerunning an identical plan
-reproduces identical reports. One failing attack cell is recorded in the
-report and never aborts the run.
+seeds are derived by hashing (seed_base, repetition, role), and all
+serialization is byte-stable, so rerunning an identical plan reproduces
+identical reports. On resume a step skips a score file or accuracy table
+only when its reader (``_score_set``, ``_accuracy_table``) accepts it, and
+a model file when it exists (loading checks it); a missing or rejected
+output is computed again. One failing attack cell never aborts the run.
 """
 
 import csv
@@ -157,11 +157,11 @@ def _path(out, kind: str, need: bool = False, **names) -> Path:
     return path
 
 
-def _intact(path: Path) -> bool:
-    """Whether a stage output exists and parses; a damaged one is computed again."""
+def _accepted(reader, *args) -> bool:
+    """Whether ``reader(*args)`` finds its stage output and accepts it."""
     try:
-        checkpoint.read_json(path)
-    except (FileNotFoundError, CheckpointError):
+        reader(*args)
+    except (DependencyError, CheckpointError):
         return False
     return True
 
@@ -334,17 +334,16 @@ def _run_attack_cell(plan, dataset, split, pair, rep, attack_key, target_key):
 
 
 def stage_attack(r: _Rep):
-    """Score the cells without an intact score file, and list the cells that fail."""
+    """Score the cells without an accepted score file, and list the cells that fail."""
     failures = []
 
     def pair(key):  # attacks only run forward passes, so every cell reads the one stored copy
         return tuple(r.model(f"{key}_{role}") for role in ROLES)
 
     for attack_key, target_key in _attack_cells(r.plan):
-        cell = f"{attack_key}__{target_key}"
-        path = _path(r.out, "scores", rep=r.rep, cell=cell)
-        if _intact(path):
+        if _accepted(_score_set, r.out, r.plan, r.rep, attack_key, target_key):
             continue
+        cell = f"{attack_key}__{target_key}"
         try:
             scores = _run_attack_cell(r.plan, r.dataset, r.split, pair, r.rep,
                                       attack_key, target_key)
@@ -362,7 +361,7 @@ def stage_attack(r: _Rep):
                 "nonmember_scores": scores.nonmember_scores,
                 "decision_threshold": scores.decision_threshold,
             },
-            path,
+            _path(r.out, "scores", rep=r.rep, cell=cell),
         )
     # written even when empty: the file marks the step complete
     checkpoint.write_json(failures, _path(r.out, "failures", rep=r.rep))
@@ -392,9 +391,7 @@ def _model_accuracies(r: _Rep) -> dict:
 
 
 def stage_evaluate(r: _Rep):
-    try:
-        _accuracy_table(r.out, r.plan, r.rep)
-    except (DependencyError, CheckpointError):  # missing, damaged or of another plan: redone
+    if not _accepted(_accuracy_table, r.out, r.plan, r.rep):
         checkpoint.write_json(_model_accuracies(r), _path(r.out, "accuracies", rep=r.rep))
 
 
@@ -433,10 +430,9 @@ def _failure_list(out: Path, rep: int) -> list:
     return listed
 
 
-def _scored_cell(out: Path, plan: ExperimentPlan, rep: int, attack: str, target: str) -> dict:
-    """One plan cell's metrics in one repetition from its score file; its ROC curve is written."""
-    cell = f"{attack}__{target}"
-    path = _path(out, "scores", rep=rep, cell=cell)
+def _score_set(out: Path, plan: ExperimentPlan, rep: int, attack: str, target: str):
+    """One plan cell's ``AttackScoreSet`` in one repetition, from a file that holds that cell."""
+    path = _path(out, "scores", need=True, rep=rep, cell=f"{attack}__{target}")
     payload = checkpoint.read_json(path)
     try:
         found = (payload["attack"], payload["target"], payload["rep"])
@@ -445,9 +441,17 @@ def _scored_cell(out: Path, plan: ExperimentPlan, rep: int, attack: str, target:
         lists = payload["member_scores"], payload["nonmember_scores"]
         if not all(isinstance(s, list) and s and _numbers(s) for s in lists):
             raise TypeError("scores must be flat, non-empty lists of finite numbers")
-        scores = metrics.AttackScoreSet(*lists, float(payload["decision_threshold"]))
+        if not _numbers([payload["decision_threshold"]]):
+            raise TypeError("the decision threshold must be a finite number")
+        return metrics.AttackScoreSet(*lists, float(payload["decision_threshold"]))
     except (KeyError, TypeError, ValueError, InputError) as exc:
         raise CheckpointError(f"{path}: malformed score file ({exc!r})") from None
+
+
+def _scored_cell(out: Path, plan: ExperimentPlan, rep: int, attack: str, target: str,
+                 scores: metrics.AttackScoreSet) -> dict:
+    """One cell's metrics in one repetition from its scores; its ROC curve is written."""
+    cell = f"{attack}__{target}"
     record = {
         "attack": attack,
         "target": target,
@@ -456,26 +460,25 @@ def _scored_cell(out: Path, plan: ExperimentPlan, rep: int, attack: str, target:
         "auc": metrics.roc_auc(scores),
         "tpr_at_fpr": {repr(c): metrics.tpr_at_fpr(scores, c) for c in plan.fpr_caps},
         "small_sample": {repr(c): metrics.small_sample_flag(scores, c) for c in plan.fpr_caps},
-        "scores_file": str(path.relative_to(out)),
+        "scores_file": str(_path(out, "scores", rep=rep, cell=cell).relative_to(out)),
     }
     metrics.export_roc_csv(metrics.roc_curve(scores), _path(out, "roc", rep=rep, cell=cell))
     return record
 
 
 def stage_report(plan: ExperimentPlan, out: Path) -> dict:
-    """Write the report; each plan cell of each repetition needs a score file or a failure."""
+    """Write the report from inputs all read first; each plan cell is scored or failed."""
     out = Path(out)
     plan_cells = _attack_cells(plan)
-    names = [f"{a}__{t}" for a, t in plan_cells]
+    names = {f"{a}__{t}" for a, t in plan_cells}
     models, failures, scored = {}, [], []
     for rep in range(plan.repetitions):
         models[f"rep{rep}"] = _accuracy_table(out, plan, rep)
         listed = [f for f in _failure_list(out, rep) if f["cell"] in names] if names else []
         failures += listed
-        off_list = set(names) - {f["cell"] for f in listed}  # each needs its score file
-        for (attack, target), name in zip(plan_cells, names):
-            if _path(out, "scores", need=name in off_list, rep=rep, cell=name).exists():
-                scored.append((rep, attack, target))
+        failed = {f["cell"] for f in listed}  # the plan cells off the list need a score file
+        scored += [(rep, a, t, _score_set(out, plan, rep, a, t))
+                   for a, t in plan_cells if f"{a}__{t}" not in failed]
     roc_dir = (out / LAYOUT["roc"][1]).parent
     shutil.rmtree(roc_dir, ignore_errors=True)  # no curve of a cell the plan left out stays
     roc_dir.mkdir(parents=True)

@@ -548,6 +548,12 @@ REJECTED = {
     "scores_as_text": ("report", edited(SCORE, lambda d: d.update(
         nonmember_scores=[str(v) for v in d["nonmember_scores"]])),
         [f"{SCORE}: malformed score file", "flat"]),
+    "threshold_nan": ("report", edited(SCORE, lambda d: d.update(decision_threshold=float("nan"))),
+                      [f"{SCORE}: malformed score file", "threshold must be a finite number"]),
+    "threshold_true": ("report", edited(SCORE, lambda d: d.update(decision_threshold=True)),
+                       [f"{SCORE}: malformed score file", "threshold must be a finite number"]),
+    "threshold_text": ("report", edited(SCORE, lambda d: d.update(decision_threshold="nan")),
+                       [f"{SCORE}: malformed score file", "threshold must be a finite number"]),
     "accuracy_row_null": ("report", edited(TABLE, lambda d: d.update(original_victim=None)),
                           [f"{TABLE}: malformed accuracy table"]),
     "accuracy_row_text": ("report", edited(TABLE, lambda d: d.update(prune70_victim="x")),
@@ -591,8 +597,32 @@ REJECTED = {
 }
 
 
+def truncated(rel):
+    """An edit of a finished run: one file cut to half its bytes, as by an interrupted copy."""
+    def edit(out):
+        text = (out / rel).read_bytes()
+        (out / rel).write_bytes(text[:len(text) // 2])
+    return edit
+
+
+# case: (file a full run must write again, edit of a finished run that damages it)
+REMADE = {
+    "score_truncated": (SCORE, truncated(SCORE)),
+    "scores_true": (SCORE, edited(SCORE, lambda d: d.update(member_scores=True))),
+    "score_of_another_target": (SCORE, edited(SCORE, lambda d: d.update(target="x"))),
+    "threshold_nan": (SCORE, edited(SCORE, lambda d: d.update(decision_threshold=float("nan")))),
+    "accuracy_table_truncated": (TABLE, truncated(TABLE)),
+    "accuracy_row_null": (TABLE, edited(TABLE, lambda d: d.update(original_victim=None))),
+    "accuracy_row_missing": (TABLE, edited(TABLE, lambda d: d.pop("int8_shadow") and None)),
+    "failure_list_truncated": (FAILS, truncated(FAILS)),
+    "failure_list_as_an_object": (FAILS, written(FAILS, "{}")),
+    "failure_list_of_a_number": (FAILS, written(FAILS, "[1]")),
+}
+
+
 class TestRejectedInput:
-    """A plan value or stage output that a step must not use stops the run with one line."""
+    """A plan value or stage output that a step must not use stops the run with one line,
+    unless the step can write the output again."""
 
     @pytest.fixture(scope="class")
     def clean(self, tmp_path_factory):
@@ -619,6 +649,20 @@ class TestRejectedInput:
         assert all(text in lines[0] for text in named), lines[0]
         if stage is None:
             assert not out.exists()  # rejected before the output directory is made
+
+    @pytest.mark.parametrize("case", list(REMADE))
+    def test_full_run_remakes_it(self, clean, tmp_path, case):
+        rel, edit = REMADE[case]
+        plan_path, out = tmp_path / "plan.ini", tmp_path / "out"
+        plan_path.write_text(EVERY_KIND, encoding="utf-8")
+        shutil.copytree(clean, out)
+        edit(out)
+        assert (out / rel).read_bytes() != (clean / rel).read_bytes()
+        assert cli.main(["--plan", str(plan_path), "--out", str(out)]) == 0
+        assert (out / rel).read_bytes() == (clean / rel).read_bytes()
+        reports = [{f: (d / f).read_bytes() for f in output_files(d) if f.parts[0] == "report"}
+                   for d in (clean, out)]
+        assert reports[0] == reports[1]
 
 
 class TestReportSchema:
@@ -677,6 +721,26 @@ class TestFailureIsolation:
         report = json.loads(report_bytes(out))
         assert report["failures"] == []
         assert [c["attack"] for c in report["cells"]] == ["nr_loss"]
+
+    def test_a_failed_cell_over_a_damaged_score_file(self, tmp_path, monkeypatch, capsys):
+        from compaudit import attacks
+        from compaudit.errors import ConfigError
+
+        def broken(*args, **kwargs):
+            raise ConfigError("sabotaged cell")
+
+        plan_path, out = tmp_path / "plan.ini", tmp_path / "out"
+        plan_path.write_text(MINIMAL, encoding="utf-8")
+        argv = ["--plan", str(plan_path), "--out", str(out)]
+        assert cli.main(argv) == 0
+        truncated(SCORE)(out)
+        monkeypatch.setattr(attacks, "run_nr_metric", broken)
+        capsys.readouterr()
+        assert cli.main(argv) == 1  # the stale file stays out of the report
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads(report_bytes(out))
+        assert [f["cell"] for f in report["failures"]] == ["nr_loss__prune70"]
+        assert report["cells"] == []
 
     def test_cli_exit_one_on_failed_cells(self, tmp_path, monkeypatch, capsys):
         from compaudit import attacks
@@ -988,25 +1052,6 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert any(err[0].startswith(f"error: {m}: unsupported version 1") for m in models)
-
-    @pytest.mark.parametrize("damaged", [
-        "checkpoints/scores/rep0/nr_loss__prune70.json",
-        "checkpoints/scores/failures_rep0.json",
-        "checkpoints/metrics/models_rep0.json",
-    ])
-    def test_resume_recomputes_a_damaged_output(self, tmp_path, damaged):
-        plan_path = tmp_path / "plan.ini"
-        plan_path.write_text(MINIMAL, encoding="utf-8")
-        clean, out = tmp_path / "clean", tmp_path / "out"
-        assert cli.main(["--plan", str(plan_path), "--out", str(clean)]) == 0
-        assert cli.main(["--plan", str(plan_path), "--out", str(out)]) == 0
-        path = out / damaged
-        path.write_bytes(path.read_bytes()[:40])
-        assert cli.main(["--plan", str(plan_path), "--out", str(out)]) == 0
-        assert path.read_bytes() == (clean / damaged).read_bytes()
-        files = sorted(p.relative_to(clean) for p in (clean / "report").rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(out) for p in (out / "report").rglob("*") if p.is_file())
-        assert all((clean / f).read_bytes() == (out / f).read_bytes() for f in files)
 
     def test_report_seed_base_recorded(self, tmp_path):
         plan_path = tmp_path / "plan.ini"

@@ -12,10 +12,12 @@ speed falls on both alike. The figures go under ``sides.<side>`` of the
 output file, and where both sides are present the file also holds each
 layer's parent-over-change ratio of medians.
 
-Each layer runs once per side as a warm-up and then ``REPEATS`` (5) times.
-The warm-up matters: in a fresh process the C library maps and unmaps each
-temporary of a few hundred kilobytes, which makes the first fit much slower
-than the same fit inside an audit. A second run into a file that already
+Each layer runs once per side as a warm-up and then ``REPEATS`` (15)
+times. The checkpoint layers' times fall into two modes, and with 5
+samples the two sides' medians of ``save_cluster_s`` could land on
+different modes. The warm-up matters: in a fresh process the C library
+maps and unmaps each temporary of a few hundred kilobytes, which makes the
+first fit much slower than the same fit inside an audit. A second run into a file that already
 holds a side adds its samples to that side's, and a layer's figure is the
 median of all of them. The layers are
 
@@ -70,7 +72,7 @@ from pathlib import Path
 
 import numpy as np
 
-REPEATS = 5
+REPEATS = 15
 MODULES = ("attacks", "checkpoint", "compress", "meta", "metrics", "nn")
 
 
