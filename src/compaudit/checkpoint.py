@@ -196,19 +196,23 @@ def save_model(path, model: FcnModel | CompressedModel):
 def load_model(path) -> FcnModel | CompressedModel:
     """Read a model checkpoint; returns a CompressedModel when constrained.
 
-    A missing or malformed field, the constraint's included, a weight or
-    bias that is not finite, or weights that break the constraint raise
-    CheckpointError.
+    A missing or malformed field, the constraint's included, dropout rates
+    that are not one number per hidden layer, a weight or bias that is not
+    finite, or weights that break the constraint raise CheckpointError.
     """
     d = _load(path)
     if d.get("kind") != "fcn":
         raise CheckpointError(f"{path}: not a model checkpoint")
     try:
+        rates = d["dropout_rates"]
+        if not (isinstance(rates, list) and len(rates) == len(d["layer_sizes"]) - 2
+                and all(type(p) in (int, float) for p in rates)):
+            raise ValueError("dropout_rates is not one number per hidden layer")
         model = FcnModel(
             [int(s) for s in d["layer_sizes"]],
             [np.asarray(w, dtype=float) for w in d["weights"]],
             [np.asarray(b, dtype=float) for b in d["biases"]],
-            [float(p) for p in d["dropout_rates"]],
+            [float(p) for p in rates],
         )
         if not all(np.all(np.isfinite(a)) for a in model.weights + model.biases):
             raise ValueError("non-finite weights or biases")

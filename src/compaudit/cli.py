@@ -69,6 +69,7 @@ def main(argv=None) -> int:
             plan = parse_plan(args.plan)
             if args.seed_base is not None:
                 plan.seed_base = args.seed_base
+                plan.validate()  # the range of the seed base
             if args.stage is None:
                 report = run_plan(plan, args.out, workers=args.workers)
             else:

@@ -9,9 +9,11 @@ feature matrix X (one row per sample) and membership labels y in {0, 1}:
   subsampling of sqrt(d), bootstrap bagging, and leaf-fraction
   probabilities averaged over trees; each tree is five flat node arrays
   (``Tree``), as in scikit-learn's tree layout. A forest grows its trees
-  in lockstep: every step searches the next node of each growing tree in
-  one vectorized pass, and a waiting tree joins once the step has room,
-  as others go deeper or finish. Each tree draws its bootstrap and feature
+  in lockstep, each tree's depth-first stack and node records in arrays:
+  every step, one vectorized pass closes the run of leaves atop each
+  growing tree's stack and pops its next node to search, those nodes are
+  searched together, and a waiting tree joins once the step has room, as
+  others go deeper or finish. Each tree draws its bootstrap and feature
   subsets from its own generator in preorder, so no tree depends on which
   others grow beside it, and keeps its bag for out-of-bag scores. Scoring
   walks every (tree, row) pair at once over the trees' node arrays laid
@@ -224,7 +226,7 @@ def _walk_chunks(n_trees: int, n_rows: int):
 # The (row, candidate column) cells that one growth step may search. A
 # waiting tree joins a step while the step's cells plus those of the
 # tree's root, the largest node it will search, fit under this cap. A step
-# needs 55 to 85 bytes of working memory a cell, so the cap holds it to a
+# needs 60 to 95 bytes of working memory a cell, so the cap holds it to a
 # few megabytes whatever the forest's size; a smaller cap means more,
 # smaller steps and a slower fit.
 _STEP_CELLS = 32768
@@ -257,67 +259,71 @@ def _fit_rf(X, y, hyper: RfHyper, seed: int) -> RandomForestMeta:
     return forest
 
 
+# A stack entry's fields: its node's range of the slot's row buffers, row and
+# member counts (with multiplicities), depth, link (2 * parent, + 1 if a right
+# child; -1 for the root), and the position of the nearest entry at or below it
+# to be searched, known at push time. Position 0, each stack's bottom, stays empty.
+_LO, _HI, _N, _P, _DEPTH, _LINK, _BELOW = range(7)
+
+
+def _pop_runs(stack, height, count, g):
+    """Pop, in each slot of ``g``, the leaf entries atop its stack and the entry
+    below them to search. The popped entries take their slot's next preorder
+    ids, top first. Returns their slots, ids and fields (a column each), the
+    index among them of each entry to search, and the slots with only leaves.
+    """
+    h, c = height[g], count[g]
+    top = g * (stack.shape[1] // height.size) + h
+    below = stack[_BELOW].take(top)
+    low = np.maximum(below, 1)  # the lowest position popped
+    m = h + 1 - low
+    ends = np.cumsum(m)
+    k = np.arange(ends[-1]) - np.repeat(ends - m, m)
+    height[g], count[g] = low - 1, c + m
+    return (np.repeat(g, m), np.repeat(c, m) + k, stack.take(np.repeat(top, m) - k, axis=1),
+            (ends - 1)[below > 0], g[below == 0])
+
+
 def _grow_lockstep(X, y, ranks, values, seeds, hyper: RfHyper, n_sub):
     """One tree per seed, grown in lockstep, each depth-first, left child first,
     and the (tree, row) matrix of which rows each tree's bootstrap drew.
 
     Each tree draws its bootstrap and then its feature subsets from its own
-    generator and pops nodes from its own stack in preorder, so it is the
-    tree it would be if grown alone. A step advances every growing tree to
-    its next node that needs a split search and searches those nodes
-    together. Trees join in seed order: the next one joins a step while the
-    step has no node yet or the step's cells plus its root's fit under
-    ``_STEP_CELLS``, so trees join as others go deeper or finish.
+    generator and numbers its nodes in preorder, so it is the tree it would
+    be if grown alone. Trees join in seed order: the next one joins a step
+    while the step has no node to search yet or the step's cells plus its
+    root's fit under ``_STEP_CELLS``, so trees join as others go deeper or
+    finish. Then one vectorized pass closes, in every tree, the run of leaf
+    entries atop its stack, as nodes linked to their parents, and pops the
+    entry below them to search; a tree with only leaves left is done. The
+    searched nodes are split together, and each pushes its right child, then
+    its left. No Python code runs per node.
 
-    A growing tree's distinct bootstrap rows and their row and member
-    multiplicities fill a slot of n entries in buffers that grow by
-    doubling, and a node is a range of its slot; a split reorders the range
-    so that the left child's rows come first. A finished tree frees its
-    slot for one that joins later. A stack entry is (range start, range
-    end, row count, member count, depth, parent node, whether the node is
-    the parent's left child), where counts include multiplicities.
+    A growing tree holds a slot of each array, and the arrays grow by
+    doubling: n entries of the row buffers for its distinct bootstrap rows
+    and their row and member multiplicities (a node is a range of them, and
+    a split puts the left child's rows first), its stack, its node records
+    and its block of feature subsets. A finished tree copies its records out
+    as its ``Tree`` and frees its slot for a later tree.
     """
     n, d = X.shape
-    rows, w, wy, buf = (np.empty(0, dtype=np.int32) for _ in range(4))
-    trees, growing, free = [None] * len(seeds), {}, []
-    in_bag = np.zeros((len(seeds), n), dtype=bool)
+    room = max(min(hyper.max_depth, n - 1), 0) + 2  # the bottom, a pending right child a depth
+    trees, in_bag = [None] * len(seeds), np.zeros((len(seeds), n), dtype=bool)
+    rows, w, wy, buf = (np.zeros(n, dtype=np.int32) for _ in range(4))
+    stack, subsets = np.zeros((7, room), np.int32), np.zeros((_SUBSET_DRAWS, n_sub), np.int32)
+    height, count, used = (np.zeros(1, dtype=np.int64) for _ in range(3))
+    # slot s's node i is record s * cap + i, with children child[2 * (s * cap + i) + (0, 1)]
+    cap, defaults = 16, (-1, 0.0, -1, 0.0)
+    feature, threshold, child, value = (np.full(k * cap, v) for k, v in zip((1, 1, 2, 1), defaults))
+    growing, owner, free = np.zeros(1, dtype=bool), [None], [0]
     joined, drawn = 0, None
     deck = np.tile(np.arange(d), (_SUBSET_DRAWS, 1))
-
-    def advance(t):
-        """Pop tree t's nodes up to the next one to search; finish the tree if none is left."""
-        nonlocal cells
-        rng, stack, built, slot, subsets = growing[t]
-        feature, threshold, left, right, value = built
-        while stack:
-            lo, hi, n_node, p, depth, parent, is_left = stack.pop()
-            node = len(value)
-            if parent >= 0:
-                (left if is_left else right)[parent] = node
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(p / n_node)
-            if depth < hyper.max_depth and 0 < p < n_node:  # so n_node >= 2
-                if not subsets:
-                    # ``permuted`` shuffles each row with the draws that successive
-                    # ``rng.permutation(d)`` calls make, so the rows are the tree's
-                    # next permutations in order; the ones left when the tree
-                    # finishes are never used. Only the candidates are kept.
-                    block = rng.permuted(deck, axis=1)[::-1, :n_sub].astype(np.int32)
-                    subsets.extend(block)
-                popped.append((t, node, lo, hi, n_node, p, depth, subsets.pop()))
-                cells += (hi - lo) * n_sub
-                return
-        trees[t] = Tree(*(np.array(a, dtype=dt) for a, dt in zip(built, TREE_DTYPES.values())))
-        free.append(slot)
-        del growing[t]
-
-    while growing or joined < len(seeds):
-        popped, cells = [], 0
-        for t in list(growing):
-            advance(t)
+    while growing.any() or joined < len(seeds):
+        if joined < len(seeds):  # the growing trees' next nodes to search fill the step
+            g = np.flatnonzero(growing)
+            below = stack[_BELOW].take(g * room + height[g])
+            nxt = stack.take((g * room + below)[below > 0], axis=1)
+            cells, searches = int((nxt[_HI] - nxt[_LO]).sum()) * n_sub, nxt.shape[1]
         while joined < len(seeds):
             if drawn is None:
                 rng = np.random.default_rng(seeds[joined])
@@ -326,29 +332,67 @@ def _grow_lockstep(X, y, ranks, values, seeds, hyper: RfHyper, n_sub):
                 r = np.flatnonzero(counts)
                 drawn = (rng, r, counts[r])
             rng, r, m = drawn
-            if popped and cells + r.size * n_sub > _STEP_CELLS:
+            if searches and cells + r.size * n_sub > _STEP_CELLS:
                 break
             if not free:  # double the slots
-                slots = rows.size // n
-                rows, w, wy, buf = (np.concatenate([a, np.empty(max(slots, 1) * n, np.int32)])
-                                    for a in (rows, w, wy, buf))
-                free += range(rows.size // n - 1, slots - 1, -1)
-            slot = free.pop()
-            lo, hi = slot * n, slot * n + r.size
-            rows[lo:hi], w[lo:hi], wy[lo:hi], buf[lo:hi] = r, m, m * y[r], np.arange(lo, hi)
-            stack = [(lo, hi, int(m.sum()), int(wy[lo:hi].sum()), 0, -1, True)]
-            growing[joined] = (rng, stack, ([], [], [], [], []), slot, [])
-            advance(joined)
+                rows, w, wy, buf, height, count, used, subsets, feature, threshold, child, value, \
+                    growing = (np.concatenate([a, np.zeros_like(a)]) for a in (
+                        rows, w, wy, buf, height, count, used, subsets, feature, threshold, child,
+                        value, growing))
+                stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+                free = list(range(growing.size - 1, len(owner) - 1, -1))
+                owner += [None] * len(owner)
+            s = free.pop()
+            lo, hi, my = s * n, s * n + r.size, m * y[r]
+            rows[lo:hi], w[lo:hi], wy[lo:hi], buf[lo:hi] = r, m, my, np.arange(lo, hi)
+            p_root = int(my.sum())  # of the bootstrap's n rows
+            search = hyper.max_depth > 0 and 0 < p_root < n
+            stack[:, s * room + 1] = lo, hi, n, p_root, 0, -1, search  # at position 1 if searched
+            for a, k, v in zip((feature, threshold, child), (1, 1, 2), defaults):
+                a[k * s * cap : k * (s + 1) * cap] = v
+            height[s], count[s], used[s], growing[s], owner[s] = 1, 0, _SUBSET_DRAWS, True, (joined, rng)
+            cells, searches = cells + search * r.size * n_sub, searches + search
             joined, drawn = joined + 1, None
-        if popped:
-            for k, f, thr, mid, n_left, p_left in zip(*_split_step(
-                X, ranks, values, buf, rows, w, wy, popped
-            )):
-                t, node, lo, hi, n_node, p, depth, _ = popped[k]
-                _, stack, built, _, _ = growing[t]
-                built[0][node], built[1][node] = f, thr
-                stack.append((mid, hi, n_node - n_left, p - p_left, depth + 1, node, False))
-                stack.append((lo, mid, n_left, p_left, depth + 1, node, True))
+        slot, node, entry, last, done = _pop_runs(stack, height, count, np.flatnonzero(growing))
+        while count.max() > cap:  # double every slot's node records
+            feature, threshold, child, value = (
+                np.concatenate([a := b.reshape(growing.size, -1), np.full_like(a, v)], axis=1).ravel()
+                for b, v in zip((feature, threshold, child, value), defaults))
+            cap *= 2
+        value[slot * cap + node] = entry[_P] / entry[_N]  # of two exact integers: Python's bits
+        linked = entry[_LINK] >= 0
+        child[(2 * cap * slot + entry[_LINK])[linked]] = node[linked]
+        for s in done.tolist():
+            at = slice(s * cap, s * cap + count[s])
+            built = (feature[at], threshold[at], child[2 * at.start : 2 * at.stop : 2],
+                     child[2 * at.start + 1 : 2 * at.stop : 2], value[at])
+            trees[owner[s][0]] = Tree(*map(np.array, built, TREE_DTYPES.values()))
+            growing[s] = False
+            free.append(s)
+        if not last.size:
+            continue
+        slot, node, entry = slot[last], node[last], entry[:, last]
+        for s in slot[used[slot] == _SUBSET_DRAWS].tolist():
+            # ``permuted`` shuffles each row with the draws that successive
+            # ``rng.permutation(d)`` calls make, so the rows are the tree's next
+            # permutations in order; the ones left when the tree finishes are
+            # never used. Only the candidates are kept.
+            block = owner[s][1].permuted(deck, axis=1)[:, :n_sub]
+            subsets[s * _SUBSET_DRAWS : (s + 1) * _SUBSET_DRAWS], used[s] = block, 0
+        cand = subsets.take(slot * _SUBSET_DRAWS + used[slot], axis=0)
+        used[slot] += 1
+        split, f, thr, mid, n_left, p_left = _split_step(ranks, values, buf, rows, w, wy,
+                                                         *entry[:4], cand)
+        slot, node, entry = slot[split], node[split], entry[:, split]
+        feature[slot * cap + node], threshold[slot * cap + node] = f, thr
+        h, base, depth = height[slot], slot * room, entry[_DEPTH] + 1
+        below, deep = stack[_BELOW].take(base + h), depth < hyper.max_depth
+        for lo, hi, n_c, p_c, side in ((mid, entry[_HI], entry[_N] - n_left, entry[_P] - p_left, 1),
+                                       (entry[_LO], mid, n_left, p_left, 0)):
+            h = h + 1
+            below = np.where(deep & (0 < p_c) & (p_c < n_c), h, below)
+            stack[:, base + h] = lo, hi, n_c, p_c, depth, 2 * node + side, below
+        height[slot] = h
     return trees, in_bag
 
 
@@ -363,46 +407,44 @@ def _gini(members, rows):
     return impurity
 
 
-def _split_step(X, ranks, values, buf, rows, w, wy, popped):
-    """Best Gini split of every popped node at once; partitions ``buf``.
+def _split_step(ranks, values, buf, rows, w, wy, lo, hi, n_node, p_node, cand):
+    """Best Gini split of every searched node at once; partitions ``buf``.
 
-    Each (node, candidate column) pair is a segment of one integer-key
-    sort by (node, candidate, rank). At every boundary between distinct
-    values, cumulative multiplicities give the left row and member counts,
-    which are scored with the weighted Gini impurity. A node takes the
-    lowest score, ties going to the earlier candidate, then to the lower
-    midpoint. Returns, as lists, each split node's index in ``popped``,
-    feature, threshold, the start of its right child's range, and its left
-    child's row and member counts; a node without a valid boundary is left
-    out.
+    Node k is ``buf[lo[k]:hi[k]]``, with ``n_node[k]`` rows, ``p_node[k]``
+    members (int32 counts with multiplicities) and candidates ``cand[k]``.
+    Each (node, candidate column) pair is a segment of one integer-key sort
+    by (node, candidate, rank). At every boundary between distinct values,
+    cumulative multiplicities give the left row and member counts, which
+    are scored with the weighted Gini impurity. A node takes the lowest
+    score, ties going to the earlier candidate, then to the lower midpoint,
+    and its range takes its rows in the sorted order of the chosen column.
+    Returns, as arrays, each split node's k, feature, threshold, the start
+    of its right child's range, and its left child's row and member counts;
+    a node without a valid boundary is left out.
     """
-    lo = np.array([q[2] for q in popped])
-    sizes = np.array([q[3] for q in popped]) - lo
-    n_node = np.array([q[4] for q in popped], dtype=np.int32)
-    p_node = np.array([q[5] for q in popped], dtype=np.int32)
-    cand = np.array([q[7] for q in popped], dtype=np.int32)
+    sizes = hi - lo
     K, n_sub = cand.shape
     n_ranks = values.shape[1]
     offsets = np.cumsum(sizes) - sizes
-    node_of = np.repeat(np.arange(K, dtype=np.int32), sizes)
-    idx = np.repeat(lo - offsets, sizes) + np.arange(node_of.size)
-    e = buf[idx]
-    r = rows[e]
-    # keys and cumulative counts stay below K * n_sub * (row count)
-    dtype = np.int32 if K * n_sub * ranks.shape[1] < 2**31 else np.int64
-    key = ranks.take((cand * ranks.shape[1])[node_of] + r[:, None]).astype(dtype, copy=False)
-    key += node_of.astype(dtype)[:, None] * (n_sub * n_ranks)
-    key += np.arange(n_sub, dtype=dtype) * n_ranks
-    key = key.ravel()
-    order = np.argsort(key)
-    key = key[order]
-    order //= n_sub
+    idx = np.repeat(lo - offsets, sizes) + np.arange(offsets[-1] + sizes[-1])
+    e = buf[idx].astype(np.intp)
+    # a cell's key, (node, candidate, rank), sits above the place of the cell's
+    # row, so that one plain sort orders the cells and tells their rows; keys,
+    # places and cumulative counts stay below K * n_sub * (row count) << shift
+    shift = (idx.size - 1).bit_length()
+    dtype = np.int32 if (K * n_sub * ranks.shape[1]) << shift < 2**31 else np.int64
+    key = np.repeat((np.arange(K * n_sub, dtype=dtype) * n_ranks).reshape(K, n_sub), sizes, axis=0)
+    key += ranks.take(np.repeat(cand * ranks.shape[1], sizes, axis=0) + rows[e][:, None])
+    key <<= shift
+    key += np.arange(idx.size, dtype=dtype)[:, None]
+    key = np.sort(key.ravel())
+    order = (key & ((1 << shift) - 1)).astype(np.intp)
+    key >>= shift
     w_e, wy_e = w[e], wy[e]
     cw = np.cumsum(w_e[order], dtype=dtype)
     cwy = np.cumsum(wy_e[order], dtype=dtype)
     # each del below frees a per-cell array before the scoring, which is
     # where a step's memory peaks
-    del order
     seg_size = np.repeat(sizes, n_sub)
     seg_start = np.cumsum(seg_size) - seg_size
     base_n, base_p = cw[seg_start - 1], cwy[seg_start - 1]
@@ -411,43 +453,41 @@ def _split_step(X, ranks, values, buf, rows, w, wy, popped):
     boundary[seg_start[1:] - 1] = False
     pos = np.flatnonzero(boundary)
     del boundary
-    seg = key[pos] // n_ranks
-    left_n = cw[pos] - base_n[seg]
-    lp = cwy[pos] - base_p[seg]
+    # the boundaries come in (node, candidate) segments: each segment's count of them
+    in_seg = np.bincount(key[pos] // n_ranks, minlength=K * n_sub)
+    left_n = cw[pos] - np.repeat(base_n, in_seg)
+    lp = cwy[pos] - np.repeat(base_p, in_seg)
     del cw, cwy
-    node = seg // n_sub
-    del seg
-    n = n_node[node]
+    in_node = in_seg.reshape(K, n_sub).sum(axis=1)
+    n = np.repeat(n_node, in_node)
     # score = (left_n * gini_l + rn * gini_r) / n with gini = 1 - a^2 - b^2,
     # evaluated in place operation by operation, so every bit is the same
     score = _gini(lp, left_n)
     score *= left_n
     rn = n - left_n
-    score += _gini(p_node[node] - lp, rn) * rn
+    score += _gini(np.repeat(p_node, in_node) - lp, rn) * rn
     score /= n
-    bounds = np.searchsorted(node, np.arange(K + 1))
-    split = np.flatnonzero(bounds[1:] > bounds[:-1])
-    first = bounds[split]
-    best = np.empty(K)
-    best[split] = np.minimum.reduceat(score, first)
-    hits = np.flatnonzero(score == best[node])
+    split = np.flatnonzero(in_node)
+    first = (np.cumsum(in_node) - in_node)[split]
+    best = np.minimum.reduceat(score, first)
+    hits = np.flatnonzero(score == np.repeat(best, in_node[split]))
     pick = hits[np.searchsorted(hits, first)]
-    pos = pos[pick]
+    pos, n_left, p_left = pos[pick], left_n[pick], lp[pick]
     seg = key[pos] // n_ranks
     f = cand[split, seg - split * n_sub]
     lower, upper = values[f, key[pos] - seg * n_ranks], values[f, key[pos + 1] - seg * n_ranks]
     # the midpoint of two adjacent floats can round down to the lower one,
-    # which would send every row right; the upper value splits them
+    # which would send every row right, and that of two huge ones can
+    # overflow, which would send every row left; the upper value splits them
     thr = (lower + upper) / 2.0
-    thr = np.where(thr > lower, thr, upper)
-    feat, cut = np.zeros(K, dtype=np.int32), np.full(K, np.inf)
-    feat[split], cut[split] = f, thr
-    go_left = X[r, feat[node_of]] < cut[node_of]
-    buf[idx] = e[np.argsort(2 * node_of + ~go_left, kind="stable")]
-    on_left = np.stack([go_left, w_e * go_left, wy_e * go_left])
-    n_distinct, n_left, p_left = np.add.reduceat(on_left, offsets, axis=1)[:, split]
-    mid = lo[split] + n_distinct
-    return [a.tolist() for a in (split, f, thr, mid, n_left, p_left)]
+    thr = np.where((thr > lower) & (thr <= upper), thr, upper)
+    # a split node's rows, in the order of their ranks in its chosen column,
+    # put the left child's first; a node that does not split keeps any order
+    chosen = np.arange(K) * n_sub
+    chosen[split] = seg
+    buf[idx] = e[order[np.repeat(seg_start[chosen] - offsets, sizes) + np.arange(idx.size)]]
+    mid = lo[split] + (pos - seg_start[seg] + 1)
+    return split, f, thr, mid, n_left, p_left
 
 
 def out_of_bag_proba(clf: RandomForestMeta, X: np.ndarray) -> np.ndarray:

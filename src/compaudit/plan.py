@@ -176,6 +176,8 @@ class ExperimentPlan:
     def validate(self):
         if self.repetitions < 1:
             raise PlanError("repetitions must be >= 1")
+        if not 0 <= self.seed_base < 2**64:
+            raise PlanError(f"seed_base {self.seed_base} outside [0, 2**64)")
         if self.workers < 1:
             raise PlanError("workers must be >= 1")
         for s in self.compression.prune:  # before any key is built from it

@@ -285,6 +285,9 @@ def growth_data(kind, n=150, seed=0):
                             np.round(rng.random((n, 1)), 1)], axis=1)
     elif kind == "one_column":
         X = np.round(rng.normal(size=(n, 1)), 1)
+    elif kind.startswith("posterior"):  # sorted softmax outputs, as the posterior attacks see
+        P = np.exp(2.0 * rng.normal(size=(n, int(kind[len("posterior"):]))))
+        X = -np.sort(-P / P.sum(axis=1, keepdims=True), axis=1)
     elif kind == "adjacent":  # the midpoint of 1 and the next float rounds down to 1
         X = np.where(rng.random((n, 1)) < 0.5, 1.0, np.nextafter(1.0, 2.0))
     else:  # "constant": most candidate pairs hold only constant columns
@@ -344,34 +347,71 @@ class TestLockstepGrowth:
         loaded = checkpoint.load_classifier(tmp_path / "rf.json")
         assert loaded.trees[0].value.tolist() == tree.value.tolist()
 
+    def test_huge_floats_split_without_an_infinite_threshold(self):
+        # (1e308 + 1.7e308) / 2 overflows to inf, a threshold that sends every row left
+        X = np.repeat([[1.0e308], [1.7e308]], 10, axis=0)
+        y = np.repeat([0, 1], 10)
+        with np.errstate(over="ignore"):
+            clf = meta.fit("rf", X, y, hyper=meta.RfHyper(n_trees=1))
+        tree = clf.trees[0]
+        assert tree.threshold[0] == 1.7e308
+        assert tree.value[1:].tolist() == [0.0, 1.0]
+        assert meta.score_proba(clf, X[[0, -1]]).tolist() == [0.0, 1.0]
+
     def test_trees_join_as_others_finish_under_the_step_cap(self, monkeypatch):
-        steps = []  # each step's (tree, range start, range end) triples and n_sub
+        n = 120
+        steps = []  # each step's nodes: their slots, sizes and whether each is a root; and n_sub
         split_step = meta._split_step
 
-        def recording(X, ranks, values, buf, rows, w, wy, popped):
-            steps.append(([(q[0], q[2], q[3]) for q in popped], popped[0][7].size))
-            return split_step(X, ranks, values, buf, rows, w, wy, popped)
+        def recording(ranks, values, buf, rows, w, wy, lo, hi, n_node, p_node, cand):
+            # slot s holds rows s * n to (s + 1) * n, and only a root counts all n bootstrap rows
+            steps.append((lo // n, hi - lo, n_node == n, cand.shape[1]))
+            return split_step(ranks, values, buf, rows, w, wy, lo, hi, n_node, p_node, cand)
 
         monkeypatch.setattr(meta, "_split_step", recording)
         monkeypatch.setattr(meta, "_STEP_CELLS", 1000)
-        X, y = growth_data("ties", n=120, seed=3)
+        X, y = growth_data("ties", n=n, seed=3)
         hyper = meta.RfHyper(n_trees=40)
         clf = meta.fit("rf", X, y, hyper=hyper, seed=8)
         ref, _ = reference_forest(X, y, hyper, 8)
         self.assert_same_forest(clf, ref, X)
 
-        first, last = {}, {}
-        for s, (nodes, n_sub) in enumerate(steps):
-            if len(nodes) > 1:
-                assert sum(hi - lo for _, lo, hi in nodes) * n_sub <= 1000
-            for t, _, _ in nodes:
-                first.setdefault(t, s)
-                last[t] = s
+        first, last, tree_in = {}, {}, {}
+        for s, (slots, sizes, roots, n_sub) in enumerate(steps):
+            if len(slots) > 1:
+                assert sizes.sum() * n_sub <= 1000
+            for slot, root in zip(slots.tolist(), roots.tolist()):
+                if root:  # a tree joins the step that searches its root, and keeps its slot
+                    tree_in[slot] = len(first)
+                    first[tree_in[slot]] = s
+                last[tree_in[slot]] = s
         # some tree joins while an earlier tree still grows and after another has finished
         assert any(
             any(last[u] < first[v] for u in last) and any(first[w] < first[v] <= last[w] for w in last)
             for v in first
         )
+
+    @pytest.mark.parametrize("width", [4, 12])
+    def test_forests_of_the_benchmark_shapes(self, monkeypatch, width):
+        # 100 trees on 240 rows of sorted posteriors, as in the acceptance-9 plan's forests
+        closes = []  # each step's leaf runs closed before a search, and the entries of finishing trees
+        pop_runs = meta._pop_runs
+
+        def recording(stack, height, count, g):
+            out = pop_runs(stack, height, count, g)
+            slot, _, _, last, done = out
+            popped = np.bincount(slot, minlength=height.size)
+            closes.append((popped[slot[last]] - 1, popped[done]))
+            return out
+
+        monkeypatch.setattr(meta, "_pop_runs", recording)
+        X, y = growth_data(f"posterior{width}", n=240, seed=width)
+        hyper = meta.RfHyper(n_trees=100)
+        clf = meta.fit("rf", X, y, hyper=hyper, seed=42)
+        ref, _ = reference_forest(X, y, hyper, 42)
+        self.assert_same_forest(clf, ref, X)
+        assert max(runs.max(initial=0) for runs, _ in closes) >= 3  # 3 leaves, then a search
+        assert any((leaves > 0).any() for _, leaves in closes)  # a stack of only leaves
 
 
 def reference_leaf_values(tree, X):

@@ -583,6 +583,12 @@ REJECTED = {
     "original_with_a_family": (
         "evaluate", model_file("original_shadow", updated(family="prune")),
         [f"{MODELS}/original_shadow.json: malformed model", "without a constraint"]),
+    "dropout_rates_empty": (
+        "evaluate", model_file("original_victim", updated(dropout_rates=[])),
+        [f"{MODELS}/original_victim.json: malformed model", "one number per hidden layer"]),
+    "dropout_rates_object": (
+        "evaluate", model_file("original_victim", updated(dropout_rates={"0": 0.5})),
+        [f"{MODELS}/original_victim.json: malformed model", "one number per hidden layer"]),
     "failure_list_of_a_number": ("report", written(FAILS, "[1]"),
                                  [f"{FAILS}: malformed failure list"]),
     "failure_list_as_an_object": ("report", written(FAILS, "{}"),

@@ -120,6 +120,30 @@ max_epochs = 5
         with pytest.raises(PlanError):
             parse_plan_text(bad)
 
+    @pytest.mark.parametrize("seed_base", [-1, 2**64])
+    def test_seed_base_outside_u64_rejected(self, tmp_path, capsys, seed_base):
+        bad = GOOD.replace("seed_base = 77", f"seed_base = {seed_base}")
+        with pytest.raises(PlanError, match=re.escape(f"seed_base {seed_base} outside [0, 2**64)")):
+            parse_plan_text(bad)
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(GOOD, encoding="utf-8")
+        argv = ["--plan", str(plan_path), "--out", str(tmp_path / "o"), "--seed-base", str(seed_base)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: seed_base {seed_base} outside [0, 2**64)"]
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_seed_base_accepted(self, tmp_path, monkeypatch):
+        top = 2**64 - 1
+        assert parse_plan_text(GOOD.replace("seed_base = 77", f"seed_base = {top}")).seed_base == top
+        seen = []
+        monkeypatch.setattr(cli, "run_stage", lambda plan, *_, **__: seen.append(plan.seed_base))
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(GOOD, encoding="utf-8")
+        argv = ["--plan", str(plan_path), "--seed-base", str(top), "--stage", "train"]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 0
+        assert seen == [top]
+
     def test_dp_section_optional_and_validated(self):
         plan = parse_plan_text(GOOD + "\n[dp]\nclip_norm = 1.0\nnoise_multiplier = 0.5\n")
         assert plan.dp.noise_multiplier == 0.5

@@ -38,6 +38,10 @@ median of all of them. The layers are
 - a 300-tree random-forest fit on 400 rows of 45 sorted posteriors next to
   a 45-class one-hot label (90 columns), that forest's scores on 200 new
   rows, and its out-of-bag scores on the 400 training rows;
+- a 100-tree random-forest fit on 240 rows of 4 sorted posteriors
+  (``rf_fit_narrow_s``), the shape of the acceptance-9 plan's single-model
+  posterior forests: its steps are many and small, so it is bound by the
+  work per step, where ``rf_fit_s`` is mostly work per cell;
 - threshold calibration on 300 member and 300 non-member values, and one
   cell's metrics on those values: balanced accuracy, AUC, and the TPR at
   FPR caps 0.01 and 0.001.
@@ -144,6 +148,8 @@ def layers(tmp: Path, package) -> dict:
     X5, _ = posterior_rows(200, 45, 14)
     forest_hyper = meta.RfHyper(n_trees=300)
     forest = meta.fit("rf", X4, y4, forest_hyper, 15)
+    X6, y6 = posterior_rows(240, 4, 17)
+    X6 = X6[:, :4]
     calibration = np.random.default_rng(16)
     member, nonmember = calibration.normal(size=300), calibration.normal(0.3, 1.0, size=300)
     cell = metrics.AttackScoreSet(member, nonmember, decision_threshold=0.15)
@@ -171,6 +177,7 @@ def layers(tmp: Path, package) -> dict:
             compress.quantize_int8(model), xy, None, epoch),
         "finetune_cluster8_s": lambda: compress.finetune_compressed(clustered, xy, None, epoch),
         "rf_fit_s": lambda: meta.fit("rf", X4, y4, forest_hyper, 15),
+        "rf_fit_narrow_s": lambda: meta.fit("rf", X6, y6, meta.RfHyper(n_trees=100), 18),
         "rf_score_s": lambda: meta.score_proba(forest, X5),
         "rf_oob_s": lambda: meta.out_of_bag_proba(forest, X4),
         "calibrate_s": lambda: attacks.calibrate_threshold(member, nonmember),
